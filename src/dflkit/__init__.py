@@ -9,15 +9,16 @@ programs, randomness flows through seeded named streams, and oracle calls
 are audited.
 """
 
-from .core import (Dataset, DatasetMeta, DimensionError, RngStream, Sample, dot)
+from .core import Dataset, DatasetMeta, DimensionError, RngStream
 from .oracles import (DenseTSP, GridShortestPath, OracleAudit, SelectOne,
                       UncertaintyParams, instance_from_descriptor, is_feasible,
                       robust_solve, solve, top_k_solve, worst_case_cost)
 from .targets import (KNN, Empirical, RobustOpt, TargetSet, TopK, build_targets,
-                      knn_neighbors, knn_target_costs)
+                      knn_neighbors, policy_from_dict)
 from .learning import (AdamState, LinearPredictor, TrainConfig, TrainedModel,
-                       TrainingError, adam_step, loss_value, mse_gradient,
-                       pfyl_gradient, spo_plus_gradient, train)
+                       TrainingError, adam_step, decision_regret, loss_value,
+                       mse_gradient, normalized_regret_pct, pfyl_gradient,
+                       spo_plus_gradient, train)
 from .datagen import (GenModel, GenParams, generate_samples, load_dataset,
                       make_gen_model, save_dataset)
 from .bench import (BiasDemoConfig, RegretReport, SweepConfig, TTestResult,

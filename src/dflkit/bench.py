@@ -1,8 +1,9 @@
 """Experiment harness: regret metrics, significance testing, sweeps, and the
 variance-bias Monte Carlo.
 
-Normalized regret over a split is ``100 * sum(regret_i) / (sum |c_i^T x*(c_i)| + 1e-12)``.
-A split whose optimal objectives sum to zero is flagged rather than dropped.
+Normalized regret over a split is ``100 * sum(regret_i) / (sum |c_i^T x*(c_i)| + 1e-12)``,
+computed by the regret kernel in :mod:`dflkit.learning`.  A split whose
+optimal objectives sum to zero is flagged rather than dropped.
 
 The sweep runner regenerates data per seed (fresh mixing matrix), trains one
 model per (problem, t, noise, method, policy, seed) cell, and pairs each
@@ -23,11 +24,10 @@ from .core import (Dataset, DimensionError, RngStream, STREAM_BIAS_DEMO,
                    STREAM_INSTANCE, STREAM_TEST_SAMPLES, STREAM_TRAIN_SAMPLES,
                    STREAM_VAL_SAMPLES)
 from .datagen import GenParams, generate_samples, make_gen_model
-from .learning import TrainConfig, train
-from .oracles import (DenseTSP, GridShortestPath, OracleAudit, UncertaintyParams,
-                      solve)
-from .targets import (Empirical, KNN, RobustOpt, TargetPolicy, TopK,
-                      build_targets, policy_label)
+from .learning import TrainConfig, decision_regret, normalized_regret_pct, train
+from .oracles import DenseTSP, GridShortestPath, OracleAudit
+from .targets import (Empirical, TargetPolicy, build_targets, policy_from_dict,
+                      policy_label)
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +40,6 @@ class RegretReport:
     model_id: str
     per_sample: np.ndarray
     normalized_regret_pct: float
-    expected_normalized_regret_pct: Optional[float]
     denominator_zero: bool
 
 
@@ -55,21 +54,11 @@ def _check_pred(pred_costs, ds: Dataset) -> np.ndarray:
 def eval_regret(pred_costs, ds: Dataset, inst, audit: Optional[OracleAudit] = None,
                 split: str = "", model_id: str = "") -> RegretReport:
     """Empirical regret of predicted costs: ``c^T x*(chat) - c^T x*(c)``."""
-    pred = _check_pred(pred_costs, ds)
-    t = len(ds)
-    regrets = np.empty(t)
-    opt_vals = np.empty(t)
-    for i in range(t):
-        xhat = solve(inst, pred[i], audit)
-        xopt = solve(inst, ds.costs[i], audit)
-        opt_vals[i] = float(np.dot(ds.costs[i], xopt))
-        regrets[i] = float(np.dot(ds.costs[i], xhat)) - opt_vals[i]
-    denom = float(np.sum(np.abs(opt_vals)))
-    pct = 100.0 * float(np.sum(regrets)) / (denom + 1e-12)
+    regrets, opt_vals = decision_regret(inst, _check_pred(pred_costs, ds), ds.costs,
+                                        audit=audit)
     return RegretReport(split=split, model_id=model_id, per_sample=regrets,
-                        normalized_regret_pct=pct,
-                        expected_normalized_regret_pct=None,
-                        denominator_zero=(denom == 0.0))
+                        normalized_regret_pct=normalized_regret_pct(regrets, opt_vals),
+                        denominator_zero=float(np.sum(np.abs(opt_vals))) == 0.0)
 
 
 def eval_expected_regret(pred_costs, ds: Dataset, inst,
@@ -77,16 +66,8 @@ def eval_expected_regret(pred_costs, ds: Dataset, inst,
     """Regret against the conditional-mean costs stored by the generator."""
     if ds.clean_costs is None:
         raise ValueError("dataset has no clean costs; regenerate with them")
-    pred = _check_pred(pred_costs, ds)
-    t = len(ds)
-    regrets = np.empty(t)
-    opt_vals = np.empty(t)
-    for i in range(t):
-        xhat = solve(inst, pred[i], audit)
-        xopt = solve(inst, ds.clean_costs[i], audit)
-        opt_vals[i] = float(np.dot(ds.clean_costs[i], xopt))
-        regrets[i] = float(np.dot(ds.clean_costs[i], xhat)) - opt_vals[i]
-    return 100.0 * float(np.sum(regrets)) / (float(np.sum(np.abs(opt_vals))) + 1e-12)
+    return normalized_regret_pct(*decision_regret(
+        inst, _check_pred(pred_costs, ds), ds.clean_costs, audit=audit))
 
 
 # ---------------------------------------------------------------------------
@@ -332,20 +313,6 @@ def build_instance(problem: dict, instance_seed: int = 0):
     raise ValueError(f"unknown problem kind {kind!r}")
 
 
-def _policy_from_sweep_entry(entry: dict, n: int) -> Optional[TargetPolicy]:
-    kind = entry["kind"]
-    if kind == "empirical":
-        return Empirical()
-    if kind == "ro":
-        gamma = float(entry["gamma_frac"]) * n if "gamma_frac" in entry else float(entry["gamma"])
-        return RobustOpt(UncertaintyParams(rho=float(entry["rho"]), gamma=gamma))
-    if kind == "topk":
-        return TopK(k=int(entry["k"]))
-    if kind == "knn":
-        return KNN(k=int(entry["k"]), w=float(entry["w"]))
-    raise ValueError(f"unknown policy kind {kind!r}")
-
-
 SWEEP_COLUMNS = [
     "row_type", "problem", "t", "noise", "method", "policy", "seed", "status",
     "test_regret_pct", "test_expected_regret_pct",
@@ -404,7 +371,7 @@ def run_sweep(cfg: SweepConfig) -> List[dict]:
                         if method == "mse":
                             policy, plabel = None, "mse"
                         else:
-                            policy = _policy_from_sweep_entry(entry, inst.n)
+                            policy = policy_from_dict(entry, inst.n)
                             plabel = policy_label(policy)
                         for seed in cfg.seeds:
                             row = {k: "" for k in SWEEP_COLUMNS}

@@ -18,12 +18,12 @@ from pathlib import Path
 from .bench import (BiasDemoConfig, SweepConfig, bias_demo, build_instance,
                     default_sweep_config, eval_expected_regret, eval_regret,
                     run_sweep, write_sweep_csv)
-from .core import (RngStream, STREAM_TEST_SAMPLES, STREAM_TRAIN_SAMPLES,
-                   STREAM_VAL_SAMPLES)
+from .core import (DimensionError, RngStream, STREAM_TEST_SAMPLES,
+                   STREAM_TRAIN_SAMPLES, STREAM_VAL_SAMPLES)
 from .datagen import GenParams, generate_samples, load_dataset, make_gen_model, save_dataset
 from .learning import TrainConfig, load_model, save_model, train
-from .oracles import UncertaintyParams, instance_from_descriptor
-from .targets import KNN, Empirical, RobustOpt, TopK, build_targets
+from .oracles import instance_from_descriptor
+from .targets import build_targets, policy_from_dict
 
 
 def _add_datagen(sub):
@@ -83,23 +83,15 @@ def _add_train(sub):
     p.add_argument("--out", required=True)
 
 
-def _policy_from_flags(args, n: int):
-    if args.loss == "emp":
-        return Empirical()
-    if args.loss == "ro":
-        return RobustOpt(UncertaintyParams(rho=args.rho, gamma=args.gamma_frac * n))
-    if args.loss == "topk":
-        return TopK(k=args.k)
-    return KNN(k=args.k, w=args.w)
-
-
 def _cmd_train(args) -> int:
     data = Path(args.data)
     train_ds = load_dataset(data / "train")
     val_ds = load_dataset(data / "val")
     inst = instance_from_descriptor(train_ds.meta.instance)
     method = "mse" if args.method == "pfl" else args.method
-    policy = _policy_from_flags(args, inst.n)
+    policy = policy_from_dict(
+        {"kind": "empirical" if args.loss == "emp" else args.loss, "k": args.k,
+         "w": args.w, "rho": args.rho, "gamma_frac": args.gamma_frac}, inst.n)
     cfg = TrainConfig(method=method, policy=policy, epochs=args.epochs,
                       batch_size=args.batch, lr=args.lr, seed=args.seed,
                       pfyl_samples=args.pfyl_m, pfyl_sigma=args.pfyl_sigma)
@@ -124,6 +116,10 @@ def _cmd_eval(args) -> int:
     ds = load_dataset(Path(args.data) / args.split)
     inst = instance_from_descriptor(ds.meta.instance)
     predictor, _payload = load_model(args.model)
+    if predictor.theta.shape != (ds.meta.n, ds.meta.m):
+        raise DimensionError(
+            f"model theta has shape {predictor.theta.shape}, dataset needs "
+            f"{(ds.meta.n, ds.meta.m)} (n costs x m features)")
     pred = predictor.predict_batch(ds.features)
     report = eval_regret(pred, ds, inst, split=args.split, model_id=str(args.model))
     expected = (eval_expected_regret(pred, ds, inst)

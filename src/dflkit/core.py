@@ -36,24 +36,6 @@ class DimensionError(ValueError):
     """Vector length disagrees with the owning instance or dataset."""
 
 
-def _as_vector(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimensionError(f"{name} must be 1-D, got shape {arr.shape}")
-    return arr
-
-
-def dot(c, x) -> float:
-    """Objective value ``sum_i c_i * x_i`` of decision ``x`` under costs ``c``."""
-    c = _as_vector(c, "costs")
-    x = _as_vector(x, "decision")
-    if c.shape[0] != x.shape[0]:
-        raise DimensionError(
-            f"cost vector has length {c.shape[0]}, decision has length {x.shape[0]}"
-        )
-    return float(np.dot(c, x))
-
-
 class RngStream:
     """Deterministic random stream keyed by ``(seed, stream_id)``.
 
@@ -124,17 +106,6 @@ class RngStream:
             j = int(self._gen.random() * (i + 1))
             idx[i], idx[j] = idx[j], idx[i]
         return idx
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One observation: features ``z``, realized costs ``c``, and optionally
-    the generator's noiseless costs (the conditional mean of ``c`` given ``z``
-    under mean-one multiplicative noise)."""
-
-    z: np.ndarray
-    c: np.ndarray
-    c_clean: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -220,7 +191,3 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.meta.t
-
-    def sample(self, i: int) -> Sample:
-        clean = None if self.clean_costs is None else self.clean_costs[i]
-        return Sample(z=self.features[i], c=self.costs[i], c_clean=clean)

@@ -1,4 +1,5 @@
-"""Linear predictor, surrogate-gradient engines, and the training loop.
+"""Linear predictor, surrogate-gradient engines, the regret kernel, and the
+training loop.
 
 Gradient engines (all return a gradient with respect to the predicted cost
 vector; the chain rule to predictor parameters is ``g z^T``):
@@ -12,10 +13,18 @@ vector; the chain rule to predictor parameters is ``g z^T``):
   solves per call.
 * ``mse_gradient``: gradient of ``(1/n) ||chat - c||^2``; no solves.
 
-Training uses zero-initialized parameters, seeded shuffling, mean-aggregated
-minibatch gradients, one bias-corrected Adam step per minibatch, and picks
-the snapshot with the best validation empirical regret (earliest on ties).
-Gradient-path and evaluation-path solves are audited separately.
+Regret kernel: ``decision_regret`` gives per-row regrets
+``c_i^T x*(chat_i) - c_i^T x*(c_i)`` against any cost matrix, reusing
+precomputed optimal values when given; ``normalized_regret_pct`` turns them
+into ``100 * sum(regret_i) / (sum |c_i^T x*(c_i)| + 1e-12)``.  Both training
+and ``bench`` evaluate through them.
+
+``train`` computes every gradient through the engines above and every
+evaluation through the regret kernel.  It uses zero-initialized parameters,
+seeded shuffling, mean-aggregated minibatch gradients, one bias-corrected
+Adam step per minibatch, and picks the snapshot with the best validation
+empirical regret (earliest on ties).  Gradient-path and evaluation-path
+solves are audited separately.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -81,8 +90,6 @@ def mse_gradient(c, chat) -> np.ndarray:
 
 def spo_plus_gradient(ts_i: SampleTargets, chat: np.ndarray, inst,
                       audit: Optional[OracleAudit] = None) -> np.ndarray:
-    if ts_i.decisions.shape[0] < 1:
-        raise ValueError("target list is empty")
     xbar = ts_i.decision_mean()
     x_adj = solve(inst, 2.0 * chat - ts_i.ref_cost, audit)
     return 2.0 * (xbar - x_adj)
@@ -191,6 +198,12 @@ class TrainConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("bad epochs/batch_size")
+        if self.pfyl_samples < 1:
+            raise ValueError(
+                f"pfyl_samples must be at least 1, got {self.pfyl_samples}")
+        if not self.pfyl_sigma >= 0:
+            raise ValueError(
+                f"pfyl_sigma must be non-negative, got {self.pfyl_sigma}")
 
     def to_dict(self) -> dict:
         return {
@@ -233,21 +246,28 @@ class TrainedModel:
     audit: SolveCounts
 
 
-def _normalized_regret_pct(regrets: np.ndarray, opt_values: np.ndarray) -> float:
+def optimal_values(inst, costs, audit: Optional[OracleAudit] = None) -> np.ndarray:
+    """``c_i^T x*(c_i)`` for every row of ``costs``; one nominal solve each."""
+    return np.array([float(np.dot(c, solve(inst, c, audit))) for c in costs])
+
+
+def decision_regret(inst, pred, costs, opt_values: Optional[np.ndarray] = None,
+                    audit: Optional[OracleAudit] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row regret ``c_i^T x*(chat_i) - c_i^T x*(c_i)`` of predictions
+    ``pred`` judged against the rows of ``costs``.
+
+    Returns ``(regrets, opt_values)``.  One nominal solve per row, plus one
+    more per row for :func:`optimal_values` unless ``opt_values`` is given.
+    """
+    if opt_values is None:
+        opt_values = optimal_values(inst, costs, audit)
+    achieved = np.array([float(np.dot(c, solve(inst, p, audit)))
+                         for p, c in zip(pred, costs)])
+    return achieved - opt_values, opt_values
+
+
+def normalized_regret_pct(regrets: np.ndarray, opt_values: np.ndarray) -> float:
     return 100.0 * float(np.sum(regrets)) / (float(np.sum(np.abs(opt_values))) + 1e-12)
-
-
-def _split_eval(predictor: LinearPredictor, ds: Dataset, inst,
-                opt_values: np.ndarray, audit: OracleAudit) -> float:
-    chat = predictor.predict_batch(ds.features)
-    regrets = np.empty(len(ds))
-    for i in range(len(ds)):
-        xhat = solve(inst, chat[i], audit)
-        regrets[i] = float(np.dot(ds.costs[i], xhat)) - opt_values[i]
-    pct = _normalized_regret_pct(regrets, opt_values)
-    if not math.isfinite(pct):
-        raise TrainingError("non-finite validation metric")
-    return pct
 
 
 def train(cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset, inst,
@@ -283,19 +303,15 @@ def train(cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset, inst,
     pfyl_stream = RngStream(cfg.seed, STREAM_PFYL)
 
     # Split optima are fixed; solve them once up front (evaluation path).
-    def split_optima(ds):
-        vals = np.empty(len(ds))
-        for i in range(len(ds)):
-            x = solve(inst, ds.costs[i], eval_audit)
-            vals[i] = float(np.dot(ds.costs[i], x))
-        return vals
+    tr_opt_val = optimal_values(inst, train_ds.costs, eval_audit)
+    va_opt_val = optimal_values(inst, val_ds.costs, eval_audit)
 
-    tr_opt_val = split_optima(train_ds)
-    va_opt_val = split_optima(val_ds)
-
-    if cfg.method != "mse":
-        xbar = np.stack([st.decision_mean() for st in per_sample])
-        ref = np.stack([st.ref_cost for st in per_sample])
+    def split_pct(ds, opt_values) -> float:
+        pct = normalized_regret_pct(*decision_regret(
+            inst, predictor.predict_batch(ds.features), ds.costs, opt_values, eval_audit))
+        if not math.isfinite(pct):
+            raise TrainingError("non-finite validation metric")
+        return pct
 
     features = train_ds.features
     costs = train_ds.costs
@@ -316,13 +332,10 @@ def train(cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset, inst,
                 if cfg.use_bias:
                     chat = chat + params["bias"]
                 if cfg.method == "spo+":
-                    g = 2.0 * (xbar[i] - solve(inst, 2.0 * chat - ref[i], grad_audit))
+                    g = spo_plus_gradient(per_sample[i], chat, inst, grad_audit)
                 elif cfg.method == "pfyl":
-                    zeta = pfyl_stream.normal((cfg.pfyl_samples, n))
-                    acc = np.zeros(n)
-                    for j in range(cfg.pfyl_samples):
-                        acc += solve(inst, chat + cfg.pfyl_sigma * zeta[j], grad_audit)
-                    g = xbar[i] - acc / cfg.pfyl_samples
+                    g = pfyl_gradient(per_sample[i], chat, inst, cfg.pfyl_samples,
+                                      cfg.pfyl_sigma, pfyl_stream, grad_audit)
                 else:
                     g = mse_gradient(costs[i], chat)
                 if not np.all(np.isfinite(g)):
@@ -335,8 +348,8 @@ def train(cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset, inst,
             if cfg.use_bias:
                 g_bias /= len(batch)
             adam_step(state, params, {"theta": g_theta, "bias": g_bias})
-        train_pct = _split_eval(predictor, train_ds, inst, tr_opt_val, eval_audit)
-        val_pct = _split_eval(predictor, val_ds, inst, va_opt_val, eval_audit)
+        train_pct = split_pct(train_ds, tr_opt_val)
+        val_pct = split_pct(val_ds, va_opt_val)
         history.append(EpochStats(epoch=epoch, train_regret_pct=train_pct,
                                   val_regret_pct=val_pct))
         if val_pct < best_val:
@@ -373,12 +386,30 @@ def save_model(model: TrainedModel, cfg: TrainConfig, path) -> None:
         json.dump(payload, fh, sort_keys=True)
 
 
+def _numeric_array(values, name: str, path) -> np.ndarray:
+    try:
+        arr = np.array(values)
+    except ValueError as exc:  # ragged nesting
+        raise ValueError(f"model file {path}: {name} is not a numeric array") from exc
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"model file {path}: {name} is not a numeric array")
+    return arr.astype(np.float64)
+
+
 def load_model(path) -> tuple:
-    """Returns ``(LinearPredictor, payload_dict)``."""
+    """Returns ``(LinearPredictor, payload_dict)``.  ``theta`` must be a 2-D
+    numeric matrix and ``bias``, when present, one value per row of it."""
     with open(path) as fh:
         payload = json.load(fh)
-    theta = np.array(payload["theta"], dtype=np.float64)
+    theta = _numeric_array(payload["theta"], "theta", path)
+    if theta.ndim != 2:
+        raise DimensionError(
+            f"model file {path}: theta has shape {theta.shape}, expected a 2-D matrix")
     bias = payload["bias"]
-    predictor = LinearPredictor(
-        theta=theta, bias=None if bias is None else np.array(bias, dtype=np.float64))
-    return predictor, payload
+    if bias is not None:
+        bias = _numeric_array(bias, "bias", path)
+        if bias.shape != (theta.shape[0],):
+            raise DimensionError(
+                f"model file {path}: bias has shape {bias.shape}, "
+                f"expected ({theta.shape[0]},) to match theta {theta.shape}")
+    return LinearPredictor(theta=theta, bias=bias), payload

@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import DimensionError, dot
+from .core import DimensionError
 
 BIG = 1e12          # sentinel cost for excluded edges
 BIG_CUTOFF = 1e11   # any objective at or above this marks an infeasible branch
@@ -173,7 +173,7 @@ class GridShortestPath:
     def solve_nominal(self, costs: np.ndarray) -> np.ndarray:
         # plain floats: the DP does the same IEEE arithmetic without numpy
         # scalar overhead on every element access
-        res = self._segment_solve(costs.tolist(), None, (0, 0), (self.v - 1, self.h - 1))
+        res = self._segment_solve(costs.tolist(), None, (0, 0))
         if res is None:
             raise RuntimeError("grid instance unexpectedly infeasible")
         _, edges = res
@@ -181,8 +181,8 @@ class GridShortestPath:
         bits[list(edges)] = 1.0
         return bits
 
-    def _segment_solve(self, costs, excluded, start, end):
-        """Min-cost path start->end honouring exclusions and the tie rule.
+    def _segment_solve(self, costs, excluded, start):
+        """Min-cost path start->sink honouring exclusions and the tie rule.
 
         Returns ``(cost, edge_index_list)`` or ``None`` when no path below
         the sentinel cutoff exists.  The fast path is a plain forward DP with
@@ -190,12 +190,8 @@ class GridShortestPath:
         tie-resolution pass in :meth:`_lex_best_path`.
         """
         r0, c0 = start
-        r1, c1 = end
-        if r1 < r0 or c1 < c0:
-            return None
-        if start == end:
-            return 0.0, []
-        dist = self._forward_dist(costs, excluded, start, end)
+        r1, c1 = self.v - 1, self.h - 1
+        dist = self._forward_dist(costs, excluded, start)
         total = dist[r1 - r0][c1 - c0]
         if total >= BIG_CUTOFF:
             return None
@@ -220,13 +216,12 @@ class GridShortestPath:
         if not tied:
             edges.reverse()
             return total, edges
-        return total, self._lex_best_path(costs, excluded, start, end, dist, total)
+        return total, self._lex_best_path(costs, excluded, start, dist, total)
 
-    def _forward_dist(self, costs, excluded, start, end):
+    def _forward_dist(self, costs, excluded, start):
         r0, c0 = start
-        r1, c1 = end
-        rows = r1 - r0 + 1
-        cols = c1 - c0 + 1
+        rows = self.v - r0
+        cols = self.h - c0
         dist = [[INF] * cols for _ in range(rows)]
         dist[0][0] = 0.0
         for r in range(rows):
@@ -248,14 +243,13 @@ class GridShortestPath:
                 row[c] = best
         return dist
 
-    def _lex_best_path(self, costs, excluded, start, end, dist_fwd, total):
+    def _lex_best_path(self, costs, excluded, start, dist_fwd, total):
         """Resolve exact cost ties: keep only edges on optimal paths, then
         maximize ``sum 2**(n-1-i)`` over the surviving paths with exact
         integer arithmetic, which selects the documented lex-best support."""
         r0, c0 = start
-        r1, c1 = end
-        rows = r1 - r0 + 1
-        cols = c1 - c0 + 1
+        rows = self.v - r0
+        cols = self.h - c0
         dist_bwd = [[INF] * cols for _ in range(rows)]
         dist_bwd[rows - 1][cols - 1] = 0.0
         for r in range(rows - 1, -1, -1):
@@ -309,36 +303,21 @@ class GridShortestPath:
         return edges
 
     def _constrained_solve(self, costs, excluded: frozenset, forced: Tuple[int, ...]):
-        """Solve with a forced source-anchored edge chain and an excluded set.
-
-        Forced edges are applied in topological order; an unchainable or
-        excluded forced edge makes the branch infeasible (returns ``None``).
-        """
-        if any(e in excluded for e in forced):
-            return None
-        points = [(0, 0)]
+        """Solve with a forced source-anchored prefix ``forced`` (edges in
+        path order) and an excluded set: the prefix's cost plus one segment
+        solve from the prefix's end to the sink (``None`` if infeasible)."""
         total = 0.0
-        forced_sorted = sorted(forced, key=lambda e: self.edge_endpoints(e)[0])
-        for e in forced_sorted:
-            tail, head = self.edge_endpoints(e)
-            prev = points[-1]
-            if tail[0] < prev[0] or tail[1] < prev[1]:
-                return None  # conflicting forced edges
-            points.append(tail)
-            points.append(head)
+        for e in forced:
             total += costs[e]
-        points.append((self.v - 1, self.h - 1))
-        edges = list(forced_sorted)
-        for a, b in zip(points[0::2], points[1::2]):
-            seg = self._segment_solve(costs, excluded, a, b)
-            if seg is None:
-                return None
-            total += seg[0]
-            edges.extend(seg[1])
+        start = self.edge_endpoints(forced[-1])[1] if forced else (0, 0)
+        seg = self._segment_solve(costs, excluded, start)
+        if seg is None:
+            return None
+        total += seg[0]
         if total >= BIG_CUTOFF:
             return None
         bits = np.zeros(self.n)
-        bits[edges] = 1.0
+        bits[list(forced) + seg[1]] = 1.0
         return total, bits
 
     def _path_edge_sequence(self, bits: np.ndarray) -> List[int]:
@@ -636,7 +615,7 @@ class DenseTSP:
                 bits.flags.writeable = False
                 tours.append((bits, _support(bits)))
             self._tours = tours
-        scored = [(dot(costs, bits), supp, bits) for bits, supp in self._tours]
+        scored = [(float(np.dot(costs, bits)), supp, bits) for bits, supp in self._tours]
         best = heapq.nsmallest(k, scored, key=lambda rec: (rec[0], rec[1]))
         # copies keep callers from writing into the cached tour vectors
         return [bits.copy() for _, _, bits in best], 1

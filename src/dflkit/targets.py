@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -79,12 +79,20 @@ def policy_to_dict(policy: TargetPolicy) -> dict:
     return {"kind": "knn", "k": policy.k, "w": policy.w}
 
 
-def policy_from_dict(d: dict) -> TargetPolicy:
+def policy_from_dict(d: dict, n: Optional[int] = None) -> TargetPolicy:
+    """The one policy parser.  A ``ro`` entry gives its budget either as
+    ``gamma`` or as ``gamma_frac`` of the cost dimension ``n``."""
     kind = d["kind"]
     if kind == "empirical":
         return Empirical()
     if kind == "ro":
-        return RobustOpt(UncertaintyParams(rho=float(d["rho"]), gamma=float(d["gamma"])))
+        if "gamma_frac" in d:
+            if n is None:
+                raise ValueError("gamma_frac needs the cost dimension n")
+            gamma = float(d["gamma_frac"]) * n
+        else:
+            gamma = float(d["gamma"])
+        return RobustOpt(UncertaintyParams(rho=float(d["rho"]), gamma=gamma))
     if kind == "topk":
         return TopK(k=int(d["k"]))
     if kind == "knn":
@@ -105,12 +113,6 @@ def knn_neighbors(ds: Dataset, i: int, k: int) -> List[int]:
     return picked[:k]
 
 
-def knn_target_costs(ds: Dataset, i: int, k: int, w: float) -> List[np.ndarray]:
-    """Interpolated neighbour costs ``w * c_j + (1 - w) * c_i``."""
-    c_i = ds.costs[i]
-    return [w * ds.costs[j] + (1.0 - w) * c_i for j in knn_neighbors(ds, i, k)]
-
-
 @dataclass(frozen=True)
 class SampleTargets:
     """Targets for one sample: row ``j`` of ``costs``/``decisions`` is the
@@ -124,9 +126,18 @@ class SampleTargets:
     costs: np.ndarray       # (k, n)
     decisions: np.ndarray   # (k, n)
     ref_cost: np.ndarray    # (n,)
+    _mean: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.decisions.shape[0] < 1:
+            raise ValueError("target list is empty")
+        mean = self.decisions.mean(axis=0)
+        mean.flags.writeable = False
+        object.__setattr__(self, "_mean", mean)
 
     def decision_mean(self) -> np.ndarray:
-        return self.decisions.mean(axis=0)
+        """Mean target decision, computed once at construction (read-only)."""
+        return self._mean
 
 
 @dataclass(frozen=True)

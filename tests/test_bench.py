@@ -8,7 +8,8 @@ from dflkit.bench import (BiasDemoConfig, SweepConfig, bias_demo, eval_expected_
                           run_sweep, write_sweep_csv)
 from dflkit.core import Dataset, DatasetMeta, RngStream, STREAM_TRAIN_SAMPLES
 from dflkit.datagen import GenParams, generate_samples, make_gen_model
-from dflkit.oracles import GridShortestPath, SelectOne
+from dflkit.oracles import GridShortestPath, SelectOne, UncertaintyParams
+from dflkit.targets import RobustOpt, policy_label
 
 
 def make_ds(features, costs, clean=None, instance=None):
@@ -234,3 +235,12 @@ class TestRunSweep:
             return [[col for i, col in enumerate(row) if i != drop] for row in rows]
 
         assert strip_wall(p1) == strip_wall(p2)
+
+    def test_gamma_frac_entry_parsed_with_n(self):
+        rows = run_sweep(SweepConfig.from_dict({
+            "problems": [{"kind": "grid", "v": 2, "h": 2}], "t_values": [8],
+            "noise_values": [0.5], "methods": ["spo+"], "seeds": [0],
+            "epochs_by_t": {"8": 1}, "features": 2, "degree": 2, "val_size": 4,
+            "test_size": 6, "policies": [{"kind": "ro", "rho": 0.5, "gamma_frac": 0.125}]}))
+        expected = policy_label(RobustOpt(UncertaintyParams(rho=0.5, gamma=0.125 * 4)))
+        assert rows[0]["status"] == "ok" and rows[0]["policy"] == expected

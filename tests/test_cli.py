@@ -5,6 +5,7 @@ import pytest
 
 from dflkit.cli import main
 from dflkit.datagen import load_dataset
+from dflkit.targets import policy_from_dict
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +88,52 @@ class TestTrainEval:
         assert len(payload["per_sample_regret"]) == 8
         assert payload["normalized_regret_pct"] >= 0.0
         assert payload["expected_normalized_regret_pct"] is not None
+
+
+class TestTrainEvalErrors:
+    @pytest.mark.parametrize("flags", [["--pfyl-sigma", "-1"], ["--pfyl-m", "0"]])
+    def test_bad_pfyl_settings_exit_1(self, small_data, tmp_path, capsys, flags):
+        model = tmp_path / "model.json"
+        rc = main(["train", "--data", str(small_data), "--method", "pfyl",
+                   "--epochs", "2", "--out", str(model)] + flags)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: pfyl_") and err.count("\n") == 1
+        assert not model.exists()
+
+    def test_ro_flags_match_policy_parser(self, small_data, tmp_path):
+        model = tmp_path / "model.json"
+        assert main(["train", "--data", str(small_data), "--method", "spo+",
+                     "--loss", "ro", "--rho", "0.5", "--gamma-frac", "0.125",
+                     "--epochs", "1", "--out", str(model)]) == 0
+        policy = json.loads(model.read_text())["config"]["policy"]
+        entry = {"kind": "ro", "rho": 0.5, "gamma_frac": 0.125}
+        assert policy_from_dict(policy) == policy_from_dict(entry, n=7)
+
+    def test_eval_rejects_feature_count_mismatch(self, small_data, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert main(["train", "--data", str(small_data), "--method", "spo+",
+                     "--epochs", "1", "--out", str(model)]) == 0
+        other = tmp_path / "m5"
+        assert main(["datagen", "--problem", "grid", "--grid", "2x3", "--features", "5",
+                     "--deg", "2", "--train", "4", "--val", "3", "--test", "3",
+                     "--out", str(other)]) == 0
+        capsys.readouterr()
+        report = tmp_path / "report.json"
+        rc = main(["eval", "--data", str(other), "--model", str(model),
+                   "--split", "test", "--report", str(report)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "(7, 3)" in err and "(7, 5)" in err and err.count("\n") == 1
+        assert not report.exists()
+
+    def test_eval_rejects_ragged_theta(self, small_data, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"theta": [[1.0, 2.0, 3.0], [1.0]], "bias": None}))
+        rc = main(["eval", "--data", str(small_data), "--model", str(model),
+                   "--split", "test", "--report", str(tmp_path / "report.json")])
+        assert rc == 1
+        assert "theta is not a numeric array" in capsys.readouterr().err
 
 
 class TestSweepCommand:

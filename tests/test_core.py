@@ -5,30 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from dflkit.core import (Dataset, DatasetMeta, DimensionError, RngStream, dot)
-
-
-class TestDot:
-    def test_examples(self):
-        assert dot([1, 5, 1, 1], [1, 0, 0, 1]) == 2.0
-        assert dot([0, 0], [1, 0]) == 0.0
-        assert dot([-1, 2], [1, 1]) == 1.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            dot([1, 2, 3], [1, 0])
-
-    def test_linearity(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            n = int(rng.integers(1, 12))
-            c1 = rng.normal(size=n)
-            c2 = rng.normal(size=n)
-            x = rng.integers(0, 2, size=n).astype(float)
-            a = float(rng.normal())
-            lhs = dot(a * c1 + c2, x)
-            rhs = a * dot(c1, x) + dot(c2, x)
-            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+from dflkit.core import Dataset, DatasetMeta, DimensionError, RngStream
 
 
 class TestRngStream:
@@ -120,6 +97,7 @@ class TestDataset:
                      meta=_meta(3, 2, 4))
         with pytest.raises(ValueError):
             ds.costs[0, 0] = 9.0
-        s = ds.sample(1)
-        assert np.array_equal(s.z, [2.0, 3.0])
-        assert s.c_clean is not None and len(ds) == 3
+        z, c_clean = ds.features[1], ds.clean_costs[1]
+        assert np.array_equal(z, [2.0, 3.0])
+        assert not z.flags.writeable and not c_clean.flags.writeable
+        assert len(ds) == 3

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from dflkit.core import Dataset, DatasetMeta, RngStream
+from dflkit.bench import eval_regret
+from dflkit.core import Dataset, DatasetMeta, DimensionError, RngStream
 from dflkit.learning import (AdamState, LinearPredictor, TrainConfig,
                              TrainingError, adam_step, load_model, loss_value,
                              mse_gradient, pfyl_gradient, save_model,
@@ -313,6 +316,40 @@ class TestTrain:
             train(cfg, tr, va, inst, ts)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("kwargs", [{"pfyl_samples": 0}, {"pfyl_samples": -2},
+                                        {"pfyl_sigma": -1.0},
+                                        {"pfyl_sigma": float("nan")}])
+    def test_bad_pfyl_settings_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            TrainConfig(method="pfyl", policy=Empirical(), epochs=1, **kwargs)
+
+    def test_sigma_zero_allowed(self):
+        TrainConfig(method="pfyl", policy=Empirical(), epochs=1, pfyl_sigma=0.0)
+
+
+class TestTrainEvaluation:
+    def test_history_matches_eval_regret(self):
+        # training's per-epoch metric and eval_regret share one regret kernel
+        inst, tr, va = tiny_problem(t=10, seed=8)
+        for method in ("spo+", "pfyl", "mse"):
+            ts = None if method == "mse" else build_targets(Empirical(), tr, inst)
+            cfg = TrainConfig(method=method, policy=Empirical(), epochs=1, seed=2)
+            model = train(cfg, tr, va, inst, ts)
+            for ds, pct in ((tr, model.history[0].train_regret_pct),
+                            (va, model.history[0].val_regret_pct)):
+                report = eval_regret(model.predictor.predict_batch(ds.features), ds, inst)
+                assert pct == report.normalized_regret_pct
+
+    def test_evaluation_solve_count(self):
+        inst, tr, va = tiny_problem(t=10)
+        ts = build_targets(Empirical(), tr, inst)
+        for epochs in (0, 3):
+            cfg = TrainConfig(method="spo+", policy=Empirical(), epochs=epochs)
+            model = train(cfg, tr, va, inst, ts)
+            assert model.audit.evaluation == (10 + 5) * (epochs + 1)
+
+
 class TestModelIO:
     def test_roundtrip_bit_exact(self, tmp_path):
         inst, tr, va = tiny_problem(t=8)
@@ -325,3 +362,27 @@ class TestModelIO:
         assert np.array_equal(predictor.theta, model.predictor.theta)
         assert payload["best_epoch"] == model.best_epoch
         assert payload["config"]["method"] == "spo+"
+
+    def _write(self, path, theta, bias=None):
+        path.write_text(json.dumps({"theta": theta, "bias": bias}))
+        return path
+
+    def test_ragged_theta_rejected(self, tmp_path):
+        path = self._write(tmp_path / "m.json", [[1.0, 2.0], [3.0]])
+        with pytest.raises(ValueError, match="theta is not a numeric array"):
+            load_model(path)
+
+    def test_non_numeric_theta_rejected(self, tmp_path):
+        path = self._write(tmp_path / "m.json", [["a", "b"]])
+        with pytest.raises(ValueError, match="theta is not a numeric array"):
+            load_model(path)
+
+    def test_theta_must_be_matrix(self, tmp_path):
+        path = self._write(tmp_path / "m.json", [1.0, 2.0])
+        with pytest.raises(DimensionError, match="2-D"):
+            load_model(path)
+
+    def test_bias_length_must_match_rows(self, tmp_path):
+        path = self._write(tmp_path / "m.json", [[1.0], [2.0]], bias=[0.0, 1.0, 2.0])
+        with pytest.raises(DimensionError, match="bias has shape"):
+            load_model(path)

@@ -4,9 +4,9 @@ import pytest
 from dflkit.core import Dataset, DatasetMeta
 from dflkit.oracles import (GridShortestPath, OracleAudit, SelectOne,
                             UncertaintyParams, is_feasible, solve)
-from dflkit.targets import (Empirical, KNN, RobustOpt, TopK, build_targets,
-                            knn_neighbors, knn_target_costs, load_targets,
-                            save_targets)
+from dflkit.targets import (Empirical, KNN, RobustOpt, SampleTargets, TopK,
+                            build_targets, knn_neighbors, load_targets,
+                            policy_from_dict, policy_to_dict, save_targets)
 
 
 def make_ds(features, costs, problem="select", instance=None):
@@ -39,19 +39,24 @@ class TestKnnNeighbors:
 
 
 class TestKnnTargetCosts:
+    """Interpolated neighbour costs ``w * c_j + (1 - w) * c_i`` as stored by
+    ``build_targets``."""
+
     def test_midpoint(self):
         ds = make_ds([[0.0], [1.0]], [[2.0, 2.0], [1.0, 3.0]])
-        out = knn_target_costs(ds, 0, 1, 0.5)
+        out = build_targets(KNN(k=1, w=0.5), ds, SelectOne(2)).per_sample[0].costs
         assert np.array_equal(out[0], [1.5, 2.5])
 
     def test_w_zero_equals_own_cost(self):
         ds = make_ds([[0.0], [1.0], [2.0]], [[2.0, 5.0], [1.0, 3.0], [9.0, 9.0]])
-        for cw in knn_target_costs(ds, 0, 2, 0.0):
+        out = build_targets(KNN(k=2, w=0.0), ds, SelectOne(2)).per_sample[0].costs
+        assert len(out) == 2
+        for cw in out:
             assert np.array_equal(cw, ds.costs[0])
 
     def test_w_one_equals_neighbor_cost(self):
         ds = make_ds([[0.0], [1.0]], [[2.0, 2.0], [1.0, 3.0]])
-        out = knn_target_costs(ds, 0, 1, 1.0)
+        out = build_targets(KNN(k=1, w=1.0), ds, SelectOne(2)).per_sample[0].costs
         assert np.array_equal(out[0], ds.costs[1])
 
 
@@ -159,3 +164,37 @@ class TestTargetCache:
         other = make_ds(rng.normal(size=(4, 2)), rng.normal(size=(4, 3)))
         with pytest.raises(ValueError):
             load_targets(path, other)
+
+
+class TestPolicyFromDict:
+    POLICIES = (Empirical(), RobustOpt(UncertaintyParams(rho=0.5, gamma=1.5)),
+                TopK(k=3), KNN(k=4, w=0.25))
+
+    def test_roundtrip_all_kinds(self):
+        for p in self.POLICIES:
+            assert policy_from_dict(policy_to_dict(p)) == p
+
+    def test_gamma_frac_scales_by_n(self):
+        entry = {"kind": "ro", "rho": 0.5, "gamma_frac": 0.125}
+        assert policy_from_dict(entry, n=12) == RobustOpt(
+            UncertaintyParams(rho=0.5, gamma=0.125 * 12))
+        with pytest.raises(ValueError):
+            policy_from_dict(entry)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError):
+            policy_from_dict({"kind": "bogus"})
+
+
+class TestSampleTargets:
+    def test_decision_mean_cached_read_only(self):
+        ds = make_ds([[0.0], [1.0], [2.0]], [[2.0, 1.0], [1.0, 3.0], [0.0, 9.0]])
+        st = build_targets(KNN(k=2, w=1.0), ds, SelectOne(2)).per_sample[0]
+        mean = st.decision_mean()
+        assert np.array_equal(mean, st.decisions.mean(axis=0))
+        assert st.decision_mean() is mean and not mean.flags.writeable
+
+    def test_empty_target_list_rejected(self):
+        with pytest.raises(ValueError):
+            SampleTargets(costs=np.zeros((0, 2)), decisions=np.zeros((0, 2)),
+                          ref_cost=np.zeros(2))
