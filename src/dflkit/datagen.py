@@ -120,7 +120,9 @@ def _write_matrix(path: Path, header_prefix: str, matrix: np.ndarray) -> None:
 def _read_matrix(path: Path, header_prefix: str, rows: int, cols: int) -> np.ndarray:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, no header row")
         expected = [f"{header_prefix}_{j}" for j in range(cols)]
         if header != expected:
             raise ValueError(f"{path.name}: unexpected header {header[:3]}...")
@@ -149,7 +151,11 @@ def load_dataset(directory) -> Dataset:
     if not meta_path.exists():
         raise FileNotFoundError(f"no meta.json under {directory}")
     with open(meta_path) as fh:
-        meta = DatasetMeta.from_dict(json.load(fh))
+        fields = json.load(fh)
+    try:
+        meta = DatasetMeta.from_dict(fields)
+    except KeyError as exc:
+        raise ValueError(f"{meta_path}: missing field {exc.args[0]!r}") from None
     features = _read_matrix(directory / "features.csv", "z", meta.t, meta.m)
     costs = _read_matrix(directory / "costs.csv", "c", meta.t, meta.n)
     clean_path = directory / "clean_costs.csv"

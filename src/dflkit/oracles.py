@@ -14,7 +14,11 @@ Tie rule (applies everywhere, documented once): among equal-cost feasible
 decisions, return the one whose sorted list of used variable indices is
 lexicographically smallest, i.e. the decision that prefers low-numbered
 variables.  All feasible decisions of one instance use the same number of
-variables, so this order is total.
+variables, so this order is total.  "Equal cost" means exact equality of
+the float64 sums the solver forms, with no tolerance: the dynamic programs
+compare two ways into a state by their summed costs and break an exact tie
+there by the supports, so wherever those sums are exact (integer or dyadic
+costs, for instance) the result is the rule above in exact arithmetic.
 
 Excluded edges are modelled with a large cost sentinel rather than true
 infinity so the dynamic programs stay in ordinary float arithmetic; inputs
@@ -36,7 +40,6 @@ from .core import DimensionError
 
 BIG = 1e12          # sentinel cost for excluded edges
 BIG_CUTOFF = 1e11   # any objective at or above this marks an infeasible branch
-TIE_REL_TOL = 1e-9  # relative slack used when collecting tied-optimal edges
 
 INF = math.inf
 
@@ -139,17 +142,6 @@ class GridShortestPath:
         self.h = int(h_cols)
         self.n = self.v * (self.h - 1) + self.h * (self.v - 1)
         self._n_h = self.v * (self.h - 1)
-        # incoming[(r, c)] = list of (edge_index, prev_r, prev_c)
-        incoming = {}
-        for r in range(self.v):
-            for c in range(self.h):
-                entries = []
-                if c > 0:
-                    entries.append((self._h_idx(r, c - 1), r, c - 1))
-                if r > 0:
-                    entries.append((self._v_idx(r - 1, c), r - 1, c))
-                incoming[(r, c)] = entries
-        self._incoming = incoming
 
     def _h_idx(self, r: int, c: int) -> int:
         return r * (self.h - 1) + c
@@ -178,134 +170,69 @@ class GridShortestPath:
             raise RuntimeError("grid instance unexpectedly infeasible")
         _, edges = res
         bits = np.zeros(self.n)
-        bits[list(edges)] = 1.0
+        bits[edges] = 1.0
         return bits
 
     def _segment_solve(self, costs, excluded, start):
         """Min-cost path start->sink honouring exclusions and the tie rule.
 
-        Returns ``(cost, edge_index_list)`` or ``None`` when no path below
-        the sentinel cutoff exists.  The fast path is a plain forward DP with
-        backtracking; exact cost ties during backtracking trigger the
-        tie-resolution pass in :meth:`_lex_best_path`.
+        Returns ``(cost, edge indices in path order)`` or ``None`` when no
+        path below the sentinel cutoff exists.  Each cell keeps its cost and
+        whether it was entered by a right move; when both ways in cost
+        exactly the same, the prefix with the lex-smaller support wins.
         """
         r0, c0 = start
-        r1, c1 = self.v - 1, self.h - 1
-        dist = self._forward_dist(costs, excluded, start)
-        total = dist[r1 - r0][c1 - c0]
-        if total >= BIG_CUTOFF:
-            return None
-        # Backtrack; bail to the exact tie pass on the first tied choice.
-        edges = []
-        r, c = r1, c1
-        tied = False
-        while (r, c) != (r0, c0):
-            here = dist[r - r0][c - c0]
-            cands = []
-            for idx, pr, pc in self._incoming[(r, c)]:
-                if pr < r0 or pc < c0:
-                    continue
-                w = BIG if (excluded is not None and idx in excluded) else costs[idx]
-                if dist[pr - r0][pc - c0] + w == here:
-                    cands.append((idx, pr, pc))
-            if len(cands) != 1:
-                tied = True
-                break
-            idx, r, c = cands[0]
-            edges.append(idx)
-        if not tied:
-            edges.reverse()
-            return total, edges
-        return total, self._lex_best_path(costs, excluded, start, dist, total)
-
-    def _forward_dist(self, costs, excluded, start):
-        r0, c0 = start
-        rows = self.v - r0
-        cols = self.h - c0
-        dist = [[INF] * cols for _ in range(rows)]
-        dist[0][0] = 0.0
+        rows, cols = self.v - r0, self.h - c0
+        dist = [[0.0] * cols for _ in range(rows)]
+        right = [[True] * cols for _ in range(rows)]  # False: entered moving down
         for r in range(rows):
             row = dist[r]
             for c in range(cols):
                 if r == 0 and c == 0:
                     continue
-                best = INF
                 if c > 0:
                     idx = self._h_idx(r0 + r, c0 + c - 1)
-                    w = BIG if (excluded is not None and idx in excluded) else costs[idx]
-                    best = row[c - 1] + w
+                    best = row[c - 1] + (
+                        BIG if excluded is not None and idx in excluded else costs[idx])
                 if r > 0:
                     idx = self._v_idx(r0 + r - 1, c0 + c)
-                    w = BIG if (excluded is not None and idx in excluded) else costs[idx]
-                    cand = dist[r - 1][c] + w
-                    if cand < best:
+                    cand = dist[r - 1][c] + (
+                        BIG if excluded is not None and idx in excluded else costs[idx])
+                    # on an exact tie the prefix with the lex-smaller support wins
+                    if c == 0 or cand < best or (cand == best and (
+                            sorted(self._walk(right, start, r, c, False))
+                            < sorted(self._walk(right, start, r, c, True)))):
                         best = cand
+                        right[r][c] = False
                 row[c] = best
-        return dist
-
-    def _lex_best_path(self, costs, excluded, start, dist_fwd, total):
-        """Resolve exact cost ties: keep only edges on optimal paths, then
-        maximize ``sum 2**(n-1-i)`` over the surviving paths with exact
-        integer arithmetic, which selects the documented lex-best support."""
-        r0, c0 = start
-        rows = self.v - r0
-        cols = self.h - c0
-        dist_bwd = [[INF] * cols for _ in range(rows)]
-        dist_bwd[rows - 1][cols - 1] = 0.0
-        for r in range(rows - 1, -1, -1):
-            for c in range(cols - 1, -1, -1):
-                if r == rows - 1 and c == cols - 1:
-                    continue
-                best = INF
-                if c + 1 < cols:
-                    idx = self._h_idx(r0 + r, c0 + c)
-                    w = BIG if (excluded is not None and idx in excluded) else costs[idx]
-                    best = dist_bwd[r][c + 1] + w
-                if r + 1 < rows:
-                    idx = self._v_idx(r0 + r, c0 + c)
-                    w = BIG if (excluded is not None and idx in excluded) else costs[idx]
-                    cand = dist_bwd[r + 1][c] + w
-                    if cand < best:
-                        best = cand
-                dist_bwd[r][c] = best
-        tol = TIE_REL_TOL * (1.0 + abs(total))
-        nbits = self.n
-        weight = [[-1] * cols for _ in range(rows)]  # -1 marks unreachable
-        weight[0][0] = 0
-        back = [[None] * cols for _ in range(rows)]
-        for r in range(rows):
-            for c in range(cols):
-                if r == 0 and c == 0:
-                    continue
-                best_w = -1
-                best_from = None
-                for idx, pr, pc in self._incoming[(r0 + r, c0 + c)]:
-                    if pr < r0 or pc < c0:
-                        continue
-                    lr, lc = pr - r0, pc - c0
-                    if weight[lr][lc] < 0:
-                        continue
-                    w = BIG if (excluded is not None and idx in excluded) else costs[idx]
-                    if abs(dist_fwd[lr][lc] + w + dist_bwd[r][c] - total) > tol:
-                        continue
-                    cand = weight[lr][lc] + (1 << (nbits - 1 - idx))
-                    if cand > best_w:
-                        best_w = cand
-                        best_from = (idx, lr, lc)
-                weight[r][c] = best_w
-                back[r][c] = best_from
-        edges = []
-        r, c = rows - 1, cols - 1
-        while (r, c) != (0, 0):
-            idx, r, c = back[r][c]
-            edges.append(idx)
+        total = dist[rows - 1][cols - 1]
+        if total >= BIG_CUTOFF:
+            return None
+        edges = self._walk(right, start, rows - 1, cols - 1, right[rows - 1][cols - 1])
         edges.reverse()
+        return total, edges
+
+    def _walk(self, right, start, r, c, move_right):
+        """Edges of the stored path from ``start`` to cell ``(r, c)``
+        (relative to ``start``) whose last move is right or down, in reverse
+        order: the edge into ``(r, c)`` comes first."""
+        r0, c0 = start
+        edges = []
+        while r or c:
+            if move_right:
+                c -= 1
+                edges.append(self._h_idx(r0 + r, c0 + c))
+            else:
+                r -= 1
+                edges.append(self._v_idx(r0 + r, c0 + c))
+            move_right = right[r][c]
         return edges
 
     def _constrained_solve(self, costs, excluded: frozenset, forced: Tuple[int, ...]):
         """Solve with a forced source-anchored prefix ``forced`` (edges in
         path order) and an excluded set: the prefix's cost plus one segment
-        solve from the prefix's end to the sink (``None`` if infeasible)."""
+        solve from the prefix's end to the sink.  Returns ``(cost, edge
+        indices in path order)``, or ``None`` if infeasible."""
         total = 0.0
         for e in forced:
             total += costs[e]
@@ -316,23 +243,7 @@ class GridShortestPath:
         total += seg[0]
         if total >= BIG_CUTOFF:
             return None
-        bits = np.zeros(self.n)
-        bits[list(forced) + seg[1]] = 1.0
-        return total, bits
-
-    def _path_edge_sequence(self, bits: np.ndarray) -> List[int]:
-        """Used edges in path order, walking from the source."""
-        used = set(_support(bits))
-        seq = []
-        r, c = 0, 0
-        while (r, c) != (self.v - 1, self.h - 1):
-            if c + 1 < self.h and self._h_idx(r, c) in used:
-                seq.append(self._h_idx(r, c))
-                c += 1
-            else:
-                seq.append(self._v_idx(r, c))
-                r += 1
-        return seq
+        return total, list(forced) + seg[1]
 
     # -- k-best ------------------------------------------------------------
 
@@ -342,28 +253,28 @@ class GridShortestPath:
         Every constrained solve counts as one nominal evaluation, so the
         total is ``1 + (number of spawned subproblems)``."""
         costs = costs.tolist()
-        root = self._constrained_solve(costs, frozenset(), ())
+        cost0, seq0 = self._constrained_solve(costs, frozenset(), ())
         solves = 1
         results: List[np.ndarray] = []
         heap = []
         counter = itertools.count()  # heap stability; never reached for comparison
-        cost0, bits0 = root
-        heapq.heappush(heap, (cost0, _support(bits0), next(counter), bits0, (), frozenset()))
+        heapq.heappush(heap, (cost0, tuple(sorted(seq0)), next(counter), seq0, (), frozenset()))
         while heap and len(results) < k:
-            cost, _supp, _, bits, forced, excluded = heapq.heappop(heap)
+            _cost, _supp, _, seq, forced, excluded = heapq.heappop(heap)
+            bits = np.zeros(self.n)
+            bits[seq] = 1.0
             results.append(bits)
             if len(results) == k:
                 break
-            seq = self._path_edge_sequence(bits)
             for j in range(len(forced), len(seq)):
                 sub_forced = tuple(seq[:j])
                 sub_excluded = excluded | {seq[j]}
-                sub = self._constrained_solve(costs, frozenset(sub_excluded), sub_forced)
+                sub = self._constrained_solve(costs, sub_excluded, sub_forced)
                 solves += 1
                 if sub is not None:
-                    sc, sbits = sub
-                    heapq.heappush(
-                        heap, (sc, _support(sbits), next(counter), sbits, sub_forced, sub_excluded))
+                    sc, sseq = sub
+                    heapq.heappush(heap, (sc, tuple(sorted(sseq)), next(counter), sseq,
+                                          sub_forced, sub_excluded))
         return results, solves
 
     # -- feasibility -------------------------------------------------------
@@ -459,6 +370,10 @@ class DenseTSP:
     # -- nominal solve -----------------------------------------------------
 
     def solve_nominal(self, costs: np.ndarray) -> np.ndarray:
+        """Held-Karp over ``(visited mask, last node)`` states.  Each state
+        keeps its cost and one predecessor node; when two ways into a state
+        cost exactly the same, the path with the lex-smaller support wins,
+        and the closing edge back to node 0 is chosen the same way."""
         if self.n_nodes > self.SOLVE_MAX_NODES:
             raise ValueError(
                 f"exact TSP solve capped at {self.SOLVE_MAX_NODES} nodes, "
@@ -467,127 +382,54 @@ class DenseTSP:
         d = self._matrix(costs)
         full = (1 << nn) - 1
         dp = [[INF] * nn for _ in range(1 << nn)]
+        pred = [[0] * nn for _ in range(1 << nn)]
         dp[1][0] = 0.0
         for mask in range(1, 1 << nn, 2):
             row = dp[mask]
-            # (unvisited node, dp row it extends into), hoisted out of the loop
-            steps = [(nxt, dp[mask | (1 << nxt)]) for nxt in range(1, nn)
-                     if not mask & (1 << nxt)]
+            # (unvisited node, dp and pred rows it extends into), hoisted
+            steps = [(nxt, dp[mask | (1 << nxt)], pred[mask | (1 << nxt)])
+                     for nxt in range(1, nn) if not mask & (1 << nxt)]
             for last in range(nn):
                 base = row[last]
                 if base == INF:
                     continue
                 dlast = d[last]
-                for nxt, tgt in steps:
+                for nxt, tgt, tpred in steps:
                     cand = base + dlast[nxt]
-                    if cand < tgt[nxt]:
+                    if cand <= tgt[nxt] and (cand < tgt[nxt] or self._lex_less(
+                            pred, mask, last, tpred[nxt], nxt)):
                         tgt[nxt] = cand
+                        tpred[nxt] = last
         best = INF
         best_last = -1
-        tied = False
         for last in range(1, nn):
             val = dp[full][last] + d[last][0]
-            if val < best:
+            if val < best or (val == best and self._lex_less(
+                    pred, full, last, best_last, 0)):
                 best = val
                 best_last = last
-                tied = False
-            elif val == best:
-                tied = True
-        if not tied:
-            order = self._backtrack(dp, d, full, best_last)
-            if order is not None:
-                return self._tour_bits(order)
-        return self._lex_best_tour(dp, d, best)
+        edges = self._path_edges(pred, full, best_last)
+        edges.append(self.pair_index(best_last, 0))
+        bits = np.zeros(self.n)
+        bits[edges] = 1.0
+        return bits
 
-    def _backtrack(self, dp, d, full, last):
-        """Reconstruct the optimal tour; return None on any exact tie."""
-        order = [last]
-        mask = full
-        cur = last
+    def _path_edges(self, pred, mask, last):
+        """Edges of the stored path from node 0 through ``mask`` to ``last``."""
+        edges = []
         while mask != 1:
-            here = dp[mask][cur]
-            prev_mask = mask ^ (1 << cur)
-            hits = []
-            for p in range(self.n_nodes):
-                if not prev_mask & (1 << p):
-                    continue
-                if p == 0 and prev_mask != 1:
-                    continue
-                if dp[prev_mask][p] + d[p][cur] == here:
-                    hits.append(p)
-            if len(hits) != 1:
-                return None
-            cur = hits[0]
-            mask = prev_mask
-            order.append(cur)
-        order.reverse()
-        return order
+            prev = pred[mask][last]
+            edges.append(self.pair_index(prev, last))
+            mask ^= 1 << last
+            last = prev
+        return edges
 
-    def _lex_best_tour(self, dp, d, best):
-        """Tie resolution over the Held-Karp state DAG: keep transitions on
-        optimal tours, then maximize the exact integer support weight."""
-        nn = self.n_nodes
-        full = (1 << nn) - 1
-        bwd = [[INF] * nn for _ in range(1 << nn)]
-        for last in range(nn):
-            bwd[full][last] = d[last][0]
-        for mask in range(full - 2, 0, -2):  # even masks lack node 0; skip them
-            row = bwd[mask]
-            # supersets of mask are larger numbers, so their rows are final
-            steps = [(nxt, bwd[mask | (1 << nxt)][nxt]) for nxt in range(1, nn)
-                     if not mask & (1 << nxt)]
-            for last in range(nn):
-                if not mask & (1 << last):
-                    continue
-                acc = INF
-                dlast = d[last]
-                for nxt, rest in steps:
-                    cand = dlast[nxt] + rest
-                    if cand < acc:
-                        acc = cand
-                row[last] = acc
-        tol = TIE_REL_TOL * (1.0 + abs(best))
-        nbits = self.n
-        weight = {(1, 0): 0}
-        back = {}
-        for mask in range(1, 1 << nn, 2):
-            for last in range(nn):
-                key = (mask, last)
-                if key not in weight:
-                    continue
-                wbase = weight[key]
-                fbase = dp[mask][last]
-                for nxt in range(1, nn):
-                    if mask & (1 << nxt):
-                        continue
-                    nmask = mask | (1 << nxt)
-                    if abs(fbase + d[last][nxt] + bwd[nmask][nxt] - best) > tol:
-                        continue
-                    cand = wbase + (1 << (nbits - 1 - self.pair_index(last, nxt)))
-                    nkey = (nmask, nxt)
-                    if cand > weight.get(nkey, -1):
-                        weight[nkey] = cand
-                        back[nkey] = key
-        best_w = -1
-        best_key = None
-        for last in range(1, nn):
-            key = (full, last)
-            if key not in weight:
-                continue
-            if abs(dp[full][last] + d[last][0] - best) > tol:
-                continue
-            cand = weight[key] + (1 << (nbits - 1 - self.pair_index(last, 0)))
-            if cand > best_w:
-                best_w = cand
-                best_key = key
-        order = []
-        key = best_key
-        while key != (1, 0):
-            order.append(key[1])
-            key = back[key]
-        order.append(0)
-        order.reverse()
-        return self._tour_bits(order)
+    def _lex_less(self, pred, mask, a, b, nxt):
+        """Whether the stored path through ``mask`` ending at ``a``, extended
+        to ``nxt``, has a lex-smaller support than the one ending at ``b``."""
+        sa = self._path_edges(pred, mask, a) + [self.pair_index(a, nxt)]
+        sb = self._path_edges(pred, mask, b) + [self.pair_index(b, nxt)]
+        return sorted(sa) < sorted(sb)
 
     def canonical_tours(self):
         """All tours as node orders anchored at 0, with the direction whose
@@ -774,21 +616,29 @@ def is_feasible(inst, x) -> bool:
 
 def instance_from_descriptor(desc: str):
     """Inverse of each instance's ``descriptor()``."""
-    if desc.startswith("grid:"):
-        v, h = desc[len("grid:"):].split("x")
-        return GridShortestPath(int(v), int(h))
-    if desc.startswith("select:"):
-        return SelectOne(int(desc[len("select:"):]))
-    if desc.startswith("tsp:"):
-        body = desc[len("tsp:"):]
-        if "," not in body:
-            return DenseTSP(int(body))
-        head, coord_part = body.split(",", 1)
-        if not coord_part.startswith("coords="):
-            raise ValueError(f"bad tsp descriptor: {desc!r}")
-        pts = []
-        for chunk in coord_part[len("coords="):].split(";"):
-            xs, ys = chunk.split(",")
-            pts.append((float(xs), float(ys)))
-        return DenseTSP(int(head), coords=pts)
-    raise ValueError(f"unknown instance descriptor: {desc!r}")
+    kind, sep, body = desc.partition(":")
+    if not sep or kind not in ("grid", "select", "tsp"):
+        raise ValueError(f"unknown instance descriptor: {desc!r}")
+    coords = None
+    try:
+        if kind == "grid":
+            v, h = map(int, body.split("x"))
+        elif kind == "select":
+            size = int(body)
+        else:
+            head, sep, coord_part = body.partition(",")
+            size = int(head)
+            if sep:
+                if not coord_part.startswith("coords="):
+                    raise ValueError
+                coords = []
+                for chunk in coord_part[len("coords="):].split(";"):
+                    xs, ys = chunk.split(",")
+                    coords.append((float(xs), float(ys)))
+    except ValueError:
+        raise ValueError(f"bad {kind} descriptor: {desc!r}") from None
+    if kind == "grid":
+        return GridShortestPath(v, h)
+    if kind == "select":
+        return SelectOne(size)
+    return DenseTSP(size, coords=coords)

@@ -6,8 +6,10 @@ meaningful.  The tie rule is the documented one: among equal-cost decisions
 prefer the lexicographically smallest sorted tuple of used variable indices.
 """
 
+import functools
 import itertools
 import math
+from fractions import Fraction
 
 
 def grid_h_index(v, h, r, c):
@@ -79,7 +81,15 @@ def cost_of(costs, bits):
     return sum(c for c, b in zip(costs, bits) if b)
 
 
+def exact_costs(costs):
+    """Costs as exact rationals, so ``cost_of`` sums them without rounding."""
+    return [Fraction(float(c)) for c in costs]
+
+
+@functools.lru_cache(maxsize=None)
 def support_of(bits):
+    """Used indices of a 0/1 tuple.  Memoised: callers rank the same fixed
+    decision lists over and over, so each support is computed once."""
     return tuple(i for i, b in enumerate(bits) if b)
 
 

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -179,6 +180,29 @@ class TestErrorHandling:
                    "--epochs", "1", "--out", str(tmp_path / "m.json")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @staticmethod
+    def _train(data, tmp_path, capsys):
+        rc = main(["train", "--data", str(data), "--method", "spo+", "--epochs", "1",
+                   "--out", str(tmp_path / "m.json")])
+        return rc, capsys.readouterr().err
+
+    def test_empty_costs_file(self, small_data, tmp_path, capsys):
+        data = shutil.copytree(small_data, tmp_path / "ds")
+        (data / "train" / "costs.csv").write_text("")
+        rc, err = self._train(data, tmp_path, capsys)
+        assert rc == 1
+        assert "costs.csv: empty file, no header row" in err
+
+    def test_meta_missing_field(self, small_data, tmp_path, capsys):
+        data = shutil.copytree(small_data, tmp_path / "ds")
+        meta_path = data / "train" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["m"]
+        meta_path.write_text(json.dumps(meta))
+        rc, err = self._train(data, tmp_path, capsys)
+        assert rc == 1
+        assert "meta.json: missing field 'm'" in err
 
     def test_bad_flags(self):
         with pytest.raises(SystemExit):

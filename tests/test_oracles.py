@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,13 @@ class TestTSP:
         assert back.n_nodes == 4 and back.coords == inst.coords
         grid = instance_from_descriptor("grid:3x4")
         assert (grid.v, grid.h, grid.n) == (3, 4, 17)
+
+    @pytest.mark.parametrize("desc", ["grid:5", "grid:5x5x5", "grid:ax5", "select:x",
+                                      "tsp:x", "tsp:5,foo", "tsp:3,coords=0,0;1"])
+    def test_malformed_descriptor(self, desc):
+        kind = desc.split(":")[0]
+        with pytest.raises(ValueError, match=re.escape(f"bad {kind} descriptor: '{desc}'")):
+            instance_from_descriptor(desc)
 
 
 class TestSelectOne:
@@ -406,3 +415,43 @@ class TestTieDeterminism:
         # lex-best support walks the top row then the last column
         expected = bf.best_decision(bf.grid_paths(3, 3), np.ones(inst.n))
         assert got == expected
+
+
+def dyadic_near_ties(rng, n):
+    """Integer costs in {0, 1, 2} with two coefficients moved by +-2**-40.
+    Every sum of these is exact in float64, so the solvers' sums are the
+    exact costs and any tie they see is a true tie."""
+    c = rng.integers(0, 3, size=n).astype(float)
+    for i in rng.choice(n, size=2, replace=False):
+        c[i] += rng.choice([-1.0, 1.0]) * 2.0 ** -40
+    return c
+
+
+class TestExactNearTies:
+    IDS = ["grid3x4", "tsp6", "select5"]
+    INSTANCES = [GridShortestPath(3, 4), DenseTSP(6), SelectOne(5)]
+
+    @pytest.mark.parametrize("inst,decisions,kmax", [
+        (INSTANCES[0], bf.grid_paths(3, 4), 6),
+        (INSTANCES[1], bf.tsp_tours(6), 8),
+        (INSTANCES[2], bf.select_one_decisions(5), 5),
+    ], ids=IDS)
+    def test_match_exact_bruteforce(self, inst, decisions, kmax):
+        rng = np.random.default_rng(97)
+        for trial in range(300):
+            c = dyadic_near_ties(rng, inst.n)
+            exact = bf.exact_costs(c)
+            assert bits(solve(inst, c)) == bf.best_decision(decisions, exact)
+            k = 1 + trial % kmax
+            got = [bits(x) for x in top_k_solve(inst, c, k)]
+            assert got == bf.k_best_decisions(decisions, exact, k)
+
+    @pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
+    def test_consistency_laws(self, inst):
+        rng = np.random.default_rng(101)
+        u = UncertaintyParams(rho=0.0, gamma=1.0)
+        for _ in range(300):
+            c = dyadic_near_ties(rng, inst.n)
+            x = bits(solve(inst, c))
+            assert bits(top_k_solve(inst, c, 1)[0]) == x
+            assert bits(robust_solve(inst, c, u)) == x
