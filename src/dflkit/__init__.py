@@ -19,8 +19,8 @@ from .learning import (AdamState, LinearPredictor, TrainConfig, TrainedModel,
                        TrainingError, adam_step, decision_regret, loss_value,
                        mse_gradient, normalized_regret_pct, pfyl_gradient,
                        spo_plus_gradient, train)
-from .datagen import (GenModel, GenParams, generate_samples, load_dataset,
-                      make_gen_model, save_dataset)
+from .datagen import (GenModel, GenParams, generate_samples, generate_splits,
+                      load_dataset, make_gen_model, save_dataset)
 from .bench import (BiasDemoConfig, RegretReport, SweepConfig, TTestResult,
                     bias_demo, eval_expected_regret, eval_regret, paired_t_test,
                     run_sweep)

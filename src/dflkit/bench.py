@@ -15,15 +15,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (Dataset, DimensionError, RngStream, STREAM_BIAS_DEMO,
-                   STREAM_INSTANCE, STREAM_TEST_SAMPLES, STREAM_TRAIN_SAMPLES,
-                   STREAM_VAL_SAMPLES)
-from .datagen import GenParams, generate_samples, make_gen_model
+                   STREAM_INSTANCE)
+from .datagen import GenParams, generate_splits
 from .learning import TrainConfig, decision_regret, normalized_regret_pct, train
 from .oracles import DenseTSP, GridShortestPath, OracleAudit
 from .targets import (Empirical, TargetPolicy, build_targets, policy_from_dict,
@@ -257,25 +256,23 @@ class SweepConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "SweepConfig":
-        return SweepConfig(
-            problems=tuple(d["problems"]),
-            t_values=tuple(int(t) for t in d["t_values"]),
-            noise_values=tuple(float(e) for e in d["noise_values"]),
-            methods=tuple(d["methods"]),
-            policies=tuple(d["policies"]),
-            seeds=tuple(int(s) for s in d["seeds"]),
-            epochs_by_t={int(k): int(v) for k, v in d["epochs_by_t"].items()},
-            features=int(d.get("features", 5)),
-            degree=int(d.get("degree", 6)),
-            val_size=int(d.get("val_size", 100)),
-            test_size=int(d.get("test_size", 1000)),
-            batch_size=int(d.get("batch_size", 32)),
-            lr=float(d.get("lr", 0.01)),
-            pfyl_samples=int(d.get("pfyl_samples", 1)),
-            pfyl_sigma=float(d.get("pfyl_sigma", 1.0)),
-            alpha=float(d.get("alpha", 0.05)),
-            instance_seed=int(d.get("instance_seed", 0)),
-        )
+        """Parse a sweep JSON object.  Optional keys absent from ``d`` keep
+        the dataclass defaults; present ones are cast to the default's type."""
+        try:
+            required = dict(
+                problems=tuple(d["problems"]),
+                t_values=tuple(int(t) for t in d["t_values"]),
+                noise_values=tuple(float(e) for e in d["noise_values"]),
+                methods=tuple(d["methods"]),
+                policies=tuple(d["policies"]),
+                seeds=tuple(int(s) for s in d["seeds"]),
+                epochs_by_t={int(k): int(v) for k, v in d["epochs_by_t"].items()},
+            )
+        except KeyError as exc:
+            raise ValueError(f"sweep config: missing field {exc.args[0]!r}") from None
+        optional = {f.name: type(f.default)(d[f.name]) for f in fields(SweepConfig)
+                    if f.default is not MISSING and f.name in d}
+        return SweepConfig(**required, **optional)
 
 
 def default_sweep_config() -> dict:
@@ -326,18 +323,9 @@ def _run_one(inst, t: int, noise: float, method: str, policy: Optional[TargetPol
     params = GenParams(m=cfg.features, deg=cfg.degree, noise_halfwidth=noise,
                        t_train=t, t_val=cfg.val_size, t_test=cfg.test_size,
                        seed=seed)
-    gm = make_gen_model(inst, cfg.features, seed)
-    train_ds = generate_samples(gm, t, params, RngStream(seed, STREAM_TRAIN_SAMPLES), "train")
-    val_ds = generate_samples(gm, cfg.val_size, params, RngStream(seed, STREAM_VAL_SAMPLES), "val")
-    test_ds = generate_samples(gm, cfg.test_size, params, RngStream(seed, STREAM_TEST_SAMPLES), "test")
-
-    if method == "mse":
-        targets = None
-        train_policy: TargetPolicy = Empirical()  # placeholder, unused
-    else:
-        targets = build_targets(policy, train_ds, inst)
-        train_policy = policy
-    tc = TrainConfig(method=method, policy=train_policy,
+    train_ds, val_ds, test_ds = generate_splits(inst, params)
+    targets = None if method == "mse" else build_targets(policy, train_ds, inst)
+    tc = TrainConfig(method=method, policy=policy,
                      epochs=cfg.epochs_by_t[t], batch_size=cfg.batch_size,
                      lr=cfg.lr, seed=seed, pfyl_samples=cfg.pfyl_samples,
                      pfyl_sigma=cfg.pfyl_sigma)

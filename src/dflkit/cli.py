@@ -18,9 +18,8 @@ from pathlib import Path
 from .bench import (BiasDemoConfig, SweepConfig, bias_demo, build_instance,
                     default_sweep_config, eval_expected_regret, eval_regret,
                     run_sweep, write_sweep_csv)
-from .core import (DimensionError, RngStream, STREAM_TEST_SAMPLES,
-                   STREAM_TRAIN_SAMPLES, STREAM_VAL_SAMPLES)
-from .datagen import GenParams, generate_samples, load_dataset, make_gen_model, save_dataset
+from .core import DimensionError
+from .datagen import GenParams, generate_splits, load_dataset, save_dataset
 from .learning import TrainConfig, load_model, save_model, train
 from .oracles import instance_from_descriptor
 from .targets import build_targets, policy_from_dict
@@ -45,21 +44,15 @@ def _add_datagen(sub):
 
 def _cmd_datagen(args) -> int:
     if args.problem == "grid":
-        v, h = args.grid.split("x")
-        problem = {"kind": "grid", "v": int(v), "h": int(h)}
+        inst = instance_from_descriptor("grid:" + args.grid)
     else:
-        problem = {"kind": "tsp", "nodes": args.nodes}
-    inst = build_instance(problem, instance_seed=args.seed)
+        inst = build_instance({"kind": "tsp", "nodes": args.nodes}, instance_seed=args.seed)
     params = GenParams(m=args.features, deg=args.deg, noise_halfwidth=args.noise,
                        t_train=args.train, t_val=args.val, t_test=args.test,
                        seed=args.seed, noise_shared=args.noise_shared)
-    gm = make_gen_model(inst, args.features, args.seed)
     out = Path(args.out)
-    for split, count, stream_id in (("train", args.train, STREAM_TRAIN_SAMPLES),
-                                    ("val", args.val, STREAM_VAL_SAMPLES),
-                                    ("test", args.test, STREAM_TEST_SAMPLES)):
-        ds = generate_samples(gm, count, params, RngStream(args.seed, stream_id), split)
-        save_dataset(ds, out / split)
+    for ds in generate_splits(inst, params):
+        save_dataset(ds, out / ds.meta.split)
     print(f"wrote {out}/train,val,test ({inst.descriptor()}, n={inst.n})")
     return 0
 

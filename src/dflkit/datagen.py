@@ -22,9 +22,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Tuple
+
 import numpy as np
 
-from .core import Dataset, DatasetMeta, DimensionError, RngStream, STREAM_GEN_MODEL
+from .core import (Dataset, DatasetMeta, DimensionError, RngStream, STREAM_GEN_MODEL,
+                   STREAM_TEST_SAMPLES, STREAM_TRAIN_SAMPLES, STREAM_VAL_SAMPLES)
 
 
 @dataclass(frozen=True)
@@ -101,6 +104,18 @@ def generate_samples(gm: GenModel, count: int, params: GenParams,
         noise_shared=params.noise_shared,
     )
     return Dataset(features=Z, costs=costs, clean_costs=clean, meta=meta)
+
+
+def generate_splits(inst, params: GenParams) -> Tuple[Dataset, Dataset, Dataset]:
+    """``(train, val, test)`` of ``params.t_train/t_val/t_test`` samples, each
+    drawn from its own seeded stream under one mixing matrix."""
+    gm = make_gen_model(inst, params.m, params.seed)
+    return tuple(
+        generate_samples(gm, count, params, RngStream(params.seed, stream_id), split)
+        for split, count, stream_id in (
+            ("train", params.t_train, STREAM_TRAIN_SAMPLES),
+            ("val", params.t_val, STREAM_VAL_SAMPLES),
+            ("test", params.t_test, STREAM_TEST_SAMPLES)))
 
 
 # ---------------------------------------------------------------------------

@@ -48,15 +48,13 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class LinearPredictor:
-    """``chat = theta @ z`` (plus an optional per-coefficient bias)."""
+    """``chat = theta @ z``."""
 
     theta: np.ndarray                 # (n, m)
-    bias: Optional[np.ndarray] = None  # (n,)
 
     @staticmethod
-    def zeros(n: int, m: int, use_bias: bool = False) -> "LinearPredictor":
-        return LinearPredictor(theta=np.zeros((n, m)),
-                               bias=np.zeros(n) if use_bias else None)
+    def zeros(n: int, m: int) -> "LinearPredictor":
+        return LinearPredictor(theta=np.zeros((n, m)))
 
     def predict(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=np.float64)
@@ -64,20 +62,13 @@ class LinearPredictor:
             raise DimensionError(
                 f"feature vector has shape {z.shape}, predictor expects "
                 f"({self.theta.shape[1]},)")
-        out = self.theta @ z
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return self.theta @ z
 
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
-        out = features @ self.theta.T
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return features @ self.theta.T
 
     def copy(self) -> "LinearPredictor":
-        return LinearPredictor(theta=self.theta.copy(),
-                               bias=None if self.bias is None else self.bias.copy())
+        return LinearPredictor(theta=self.theta.copy())
 
 
 def mse_gradient(c, chat) -> np.ndarray:
@@ -155,8 +146,6 @@ def adam_step(state: AdamState, params: Dict[str, np.ndarray],
               grads: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
     """One in-place Adam update; returns ``params`` for convenience."""
     for name, g in grads.items():
-        if g is None:
-            continue
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
         if g.shape != params[name].shape:
@@ -167,8 +156,6 @@ def adam_step(state: AdamState, params: Dict[str, np.ndarray],
     corr1 = 1.0 - b1 ** state.step
     corr2 = 1.0 - b2 ** state.step
     for name, g in grads.items():
-        if g is None:
-            continue
         if name not in state.m1:
             state.m1[name] = np.zeros_like(params[name])
             state.m2[name] = np.zeros_like(params[name])
@@ -183,19 +170,19 @@ def adam_step(state: AdamState, params: Dict[str, np.ndarray],
 @dataclass(frozen=True)
 class TrainConfig:
     method: str                      # "spo+" | "pfyl" | "mse"
-    policy: TargetPolicy
+    policy: Optional[TargetPolicy]   # None only for "mse", which uses no targets
     epochs: int
     batch_size: int = 32
     lr: float = 0.01
     seed: int = 0
-    shuffle: bool = True
     pfyl_samples: int = 1
     pfyl_sigma: float = 1.0
-    use_bias: bool = False
 
     def __post_init__(self):
         if self.method not in ("spo+", "pfyl", "mse"):
             raise ValueError(f"unknown method {self.method!r}")
+        if self.policy is None and self.method != "mse":
+            raise ValueError(f"method {self.method!r} needs a target policy")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("bad epochs/batch_size")
         if self.pfyl_samples < 1:
@@ -206,17 +193,19 @@ class TrainConfig:
                 f"pfyl_sigma must be non-negative, got {self.pfyl_sigma}")
 
     def to_dict(self) -> dict:
+        # "shuffle" and "use_bias" are fixed: training always shuffles and
+        # never fits a bias, and model files keep recording both.
         return {
             "method": self.method,
-            "policy": policy_to_dict(self.policy),
+            "policy": None if self.policy is None else policy_to_dict(self.policy),
             "epochs": self.epochs,
             "batch_size": self.batch_size,
             "lr": self.lr,
             "seed": self.seed,
-            "shuffle": self.shuffle,
+            "shuffle": True,
             "pfyl_samples": self.pfyl_samples,
             "pfyl_sigma": self.pfyl_sigma,
-            "use_bias": self.use_bias,
+            "use_bias": False,
         }
 
 
@@ -293,8 +282,8 @@ def train(cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset, inst,
         per_sample = targets.per_sample
 
     n, m = train_ds.meta.n, train_ds.meta.m
-    predictor = LinearPredictor.zeros(n, m, cfg.use_bias)
-    params = {"theta": predictor.theta, "bias": predictor.bias}
+    predictor = LinearPredictor.zeros(n, m)
+    params = {"theta": predictor.theta}
     state = AdamState(lr=cfg.lr)
 
     grad_audit = OracleAudit()
@@ -321,16 +310,13 @@ def train(cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset, inst,
     best_predictor = predictor.copy()
 
     for epoch in range(1, cfg.epochs + 1):
-        order = shuffle_stream.permutation(t) if cfg.shuffle else np.arange(t)
+        order = shuffle_stream.permutation(t)
         for lo in range(0, t, cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
             g_theta = np.zeros((n, m))
-            g_bias = np.zeros(n) if cfg.use_bias else None
             for i in batch:
                 z = features[i]
                 chat = params["theta"] @ z
-                if cfg.use_bias:
-                    chat = chat + params["bias"]
                 if cfg.method == "spo+":
                     g = spo_plus_gradient(per_sample[i], chat, inst, grad_audit)
                 elif cfg.method == "pfyl":
@@ -342,12 +328,8 @@ def train(cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset, inst,
                     raise TrainingError(
                         f"non-finite cost gradient at epoch {epoch}, sample {i}")
                 g_theta += np.outer(g, z)
-                if cfg.use_bias:
-                    g_bias += g
             g_theta /= len(batch)
-            if cfg.use_bias:
-                g_bias /= len(batch)
-            adam_step(state, params, {"theta": g_theta, "bias": g_bias})
+            adam_step(state, params, {"theta": g_theta})
         train_pct = split_pct(train_ds, tr_opt_val)
         val_pct = split_pct(val_ds, va_opt_val)
         history.append(EpochStats(epoch=epoch, train_regret_pct=train_pct,
@@ -373,7 +355,7 @@ def save_model(model: TrainedModel, cfg: TrainConfig, path) -> None:
     payload = {
         "config": cfg.to_dict(),
         "theta": predictor.theta.tolist(),
-        "bias": None if predictor.bias is None else predictor.bias.tolist(),
+        "bias": None,
         "best_epoch": model.best_epoch,
         "audit": model.audit.to_dict(),
         "history": [
@@ -398,18 +380,16 @@ def _numeric_array(values, name: str, path) -> np.ndarray:
 
 def load_model(path) -> tuple:
     """Returns ``(LinearPredictor, payload_dict)``.  ``theta`` must be a 2-D
-    numeric matrix and ``bias``, when present, one value per row of it."""
+    numeric matrix and ``bias`` must be null (predictors have no bias)."""
     with open(path) as fh:
         payload = json.load(fh)
+    for name in ("theta", "bias"):
+        if name not in payload:
+            raise ValueError(f"model file {path}: missing field {name!r}")
     theta = _numeric_array(payload["theta"], "theta", path)
     if theta.ndim != 2:
         raise DimensionError(
             f"model file {path}: theta has shape {theta.shape}, expected a 2-D matrix")
-    bias = payload["bias"]
-    if bias is not None:
-        bias = _numeric_array(bias, "bias", path)
-        if bias.shape != (theta.shape[0],):
-            raise DimensionError(
-                f"model file {path}: bias has shape {bias.shape}, "
-                f"expected ({theta.shape[0]},) to match theta {theta.shape}")
-    return LinearPredictor(theta=theta, bias=bias), payload
+    if payload["bias"] is not None:
+        raise ValueError(f"model file {path}: bias must be null")
+    return LinearPredictor(theta=theta), payload

@@ -184,6 +184,33 @@ def tiny_sweep_config(seeds=(0, 1, 2)):
     })
 
 
+MINIMAL_SWEEP = {"problems": [{"kind": "grid", "v": 2, "h": 2}], "t_values": [8],
+                 "noise_values": [0.5], "methods": ["mse"], "policies": [],
+                 "seeds": [0], "epochs_by_t": {"8": 1}}
+
+
+class TestSweepConfig:
+    def test_absent_optional_keys_keep_defaults(self):
+        cfg = SweepConfig.from_dict(MINIMAL_SWEEP)
+        assert (cfg.features, cfg.degree, cfg.val_size, cfg.test_size) == (5, 6, 100, 1000)
+        assert (cfg.batch_size, cfg.lr, cfg.pfyl_samples, cfg.pfyl_sigma) == (32, 0.01, 1, 1.0)
+        assert (cfg.alpha, cfg.instance_seed) == (0.05, 0)
+
+    def test_present_optional_keys_are_cast(self):
+        cfg = SweepConfig.from_dict({**MINIMAL_SWEEP, "features": 3.0, "lr": 1,
+                                     "pfyl_sigma": "0.5", "instance_seed": "2"})
+        assert cfg.features == 3 and type(cfg.features) is int
+        assert cfg.lr == 1.0 and type(cfg.lr) is float
+        assert cfg.pfyl_sigma == 0.5 and cfg.instance_seed == 2
+
+    @pytest.mark.parametrize("field", ["problems", "seeds", "epochs_by_t"])
+    def test_missing_required_field(self, field):
+        d = dict(MINIMAL_SWEEP)
+        del d[field]
+        with pytest.raises(ValueError, match=f"sweep config: missing field '{field}'"):
+            SweepConfig.from_dict(d)
+
+
 class TestRunSweep:
     def test_default_config_parses(self):
         from dflkit.bench import default_sweep_config

@@ -204,6 +204,32 @@ class TestErrorHandling:
         assert rc == 1
         assert "meta.json: missing field 'm'" in err
 
+    @pytest.mark.parametrize("grid", ["5", "5x5x5", "ax5"])
+    def test_bad_grid_size(self, tmp_path, capsys, grid):
+        out = tmp_path / "ds"
+        rc = main(["datagen", "--problem", "grid", "--grid", grid, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: bad grid descriptor: 'grid:{grid}'\n"
+        assert not out.exists()
+
+    def test_sweep_config_missing_field(self, tmp_path, capsys):
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps({"t_values": [6]}))
+        rc = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")])
+        assert rc == 1
+        assert "sweep config: missing field 'problems'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["theta", "bias"])
+    def test_model_missing_field(self, small_data, tmp_path, capsys, field):
+        model = tmp_path / "model.json"
+        payload = {"theta": [[0.0] * 3] * 7, "bias": None}
+        del payload[field]
+        model.write_text(json.dumps(payload))
+        rc = main(["eval", "--data", str(small_data), "--model", str(model),
+                   "--split", "test", "--report", str(tmp_path / "report.json")])
+        assert rc == 1
+        assert f"model.json: missing field '{field}'" in capsys.readouterr().err
+
     def test_bad_flags(self):
         with pytest.raises(SystemExit):
             main(["train", "--method", "nonsense"])

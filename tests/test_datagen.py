@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from dflkit.core import RngStream, STREAM_TRAIN_SAMPLES, STREAM_VAL_SAMPLES
+from dflkit.core import (RngStream, STREAM_TEST_SAMPLES, STREAM_TRAIN_SAMPLES,
+                         STREAM_VAL_SAMPLES)
 from dflkit.datagen import (GenParams, apply_noise, clean_costs, generate_samples,
-                            load_dataset, make_gen_model, save_dataset)
+                            generate_splits, load_dataset, make_gen_model, save_dataset)
 from dflkit.oracles import GridShortestPath, SelectOne
 
 
@@ -88,6 +89,20 @@ class TestGenerateSamples:
         a = generate_samples(gm, 5, params, RngStream(9, STREAM_TRAIN_SAMPLES))
         b = generate_samples(gm, 5, params, RngStream(9, STREAM_VAL_SAMPLES))
         assert not np.array_equal(a.features, b.features)
+
+    def test_splits_match_per_split_streams(self):
+        inst = GridShortestPath(2, 3)
+        params = GenParams(m=2, deg=3, noise_halfwidth=0.5, t_train=4, t_val=3,
+                           t_test=5, seed=6)
+        gm = make_gen_model(inst, 2, seed=6)
+        splits = generate_splits(inst, params)
+        for ds, split, count, stream_id in zip(
+                splits, ("train", "val", "test"), (4, 3, 5),
+                (STREAM_TRAIN_SAMPLES, STREAM_VAL_SAMPLES, STREAM_TEST_SAMPLES)):
+            ref = generate_samples(gm, count, params, RngStream(6, stream_id), split)
+            assert ds.meta == ref.meta and ds.meta.split == split
+            assert np.array_equal(ds.features, ref.features)
+            assert np.array_equal(ds.costs, ref.costs)
 
 
 class TestPersistence:

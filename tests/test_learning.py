@@ -43,10 +43,6 @@ class TestPredict:
         p = LinearPredictor(theta=np.array([[1.0, 1.0], [1.0, -1.0]]))
         assert np.array_equal(p.predict([2.0, 1.0]), [3.0, 1.0])
 
-    def test_bias(self):
-        p = LinearPredictor(theta=np.zeros((2, 1)), bias=np.array([1.0, -1.0]))
-        assert np.array_equal(p.predict([5.0]), [1.0, -1.0])
-
 
 class TestMseGradient:
     def test_examples(self):
@@ -260,6 +256,14 @@ class TestTrain:
         assert model.audit.gradient == 0 and model.audit.precompute == 0
         assert len(model.history) == 3
 
+    def test_mse_without_policy_matches_with_policy(self):
+        inst, tr, va = tiny_problem(t=12, seed=3)
+        models = [train(TrainConfig(method="mse", policy=policy, epochs=4,
+                                    batch_size=5, seed=7), tr, va, inst, None)
+                  for policy in (None, Empirical())]
+        assert np.array_equal(models[0].predictor.theta, models[1].predictor.theta)
+        assert models[0].history == models[1].history
+
     def test_determinism(self):
         inst, tr, va = tiny_problem(t=12)
         for method in ("spo+", "pfyl", "mse"):
@@ -327,6 +331,15 @@ class TestTrainConfig:
     def test_sigma_zero_allowed(self):
         TrainConfig(method="pfyl", policy=Empirical(), epochs=1, pfyl_sigma=0.0)
 
+    @pytest.mark.parametrize("method", ["spo+", "pfyl"])
+    def test_policy_required_unless_mse(self, method):
+        with pytest.raises(ValueError, match="needs a target policy"):
+            TrainConfig(method=method, policy=None, epochs=1)
+
+    def test_mse_without_policy_serializes(self):
+        cfg = TrainConfig(method="mse", policy=None, epochs=1)
+        assert cfg.to_dict()["policy"] is None
+
 
 class TestTrainEvaluation:
     def test_history_matches_eval_regret(self):
@@ -382,7 +395,16 @@ class TestModelIO:
         with pytest.raises(DimensionError, match="2-D"):
             load_model(path)
 
-    def test_bias_length_must_match_rows(self, tmp_path):
-        path = self._write(tmp_path / "m.json", [[1.0], [2.0]], bias=[0.0, 1.0, 2.0])
-        with pytest.raises(DimensionError, match="bias has shape"):
+    def test_non_null_bias_rejected(self, tmp_path):
+        path = self._write(tmp_path / "m.json", [[1.0], [2.0]], bias=[0.0, 1.0])
+        with pytest.raises(ValueError, match="m.json: bias must be null"):
+            load_model(path)
+
+    @pytest.mark.parametrize("field", ["theta", "bias"])
+    def test_missing_field_rejected(self, tmp_path, field):
+        path = tmp_path / "m.json"
+        payload = {"theta": [[1.0]], "bias": None}
+        del payload[field]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"m.json: missing field '{field}'"):
             load_model(path)
