@@ -23,7 +23,7 @@ import numpy as np
 from .core import (Dataset, DimensionError, RngStream, STREAM_BIAS_DEMO,
                    STREAM_INSTANCE)
 from .datagen import GenParams, generate_splits
-from .learning import TrainConfig, decision_regret, normalized_regret_pct, train
+from .learning import METHODS, TrainConfig, decision_regret, normalized_regret_pct, train
 from .oracles import DenseTSP, GridShortestPath, OracleAudit
 from .targets import (Empirical, TargetPolicy, build_targets, policy_from_dict,
                       policy_label)
@@ -342,13 +342,42 @@ def _run_one(inst, t: int, noise: float, method: str, policy: Optional[TargetPol
     }
 
 
+def _check_sweep(cfg: SweepConfig) -> list:
+    """Check every field a cell reads before any cell runs: every problem
+    builds, every ``t`` has an ``epochs_by_t`` entry, every method is known
+    and every policy a method uses parses.  Raises a ``ValueError`` naming
+    the field; returns the problems' instances."""
+    for method in cfg.methods:
+        if method not in METHODS:
+            raise ValueError(f"sweep config: methods: unknown method {method!r}")
+    instances = []
+    for i, problem in enumerate(cfg.problems):
+        try:
+            inst = build_instance(problem, cfg.instance_seed)
+        except KeyError as exc:
+            raise ValueError(
+                f"sweep config: problems[{i}] has no field {exc.args[0]!r}") from None
+        for t in problem.get("t_values", cfg.t_values):
+            if t not in cfg.epochs_by_t:
+                raise ValueError(f"sweep config: epochs_by_t has no entry for t={t}")
+        if any(method != "mse" for method in cfg.methods):
+            for j, entry in enumerate(cfg.policies):
+                try:
+                    policy_from_dict(entry, inst.n)
+                except KeyError as exc:
+                    raise ValueError(f"sweep config: policies[{j}] has no field "
+                                     f"{exc.args[0]!r}") from None
+        instances.append(inst)
+    return instances
+
+
 def run_sweep(cfg: SweepConfig) -> List[dict]:
     """Run the full experiment grid; returns detail rows followed by one
-    aggregate row per cell.  Individual run failures are recorded in the
+    aggregate row per cell.  The config is checked up front (see
+    ``_check_sweep``); individual run failures are recorded in the
     ``status`` column and the sweep continues."""
     detail_rows: List[dict] = []
-    for problem in cfg.problems:
-        inst = build_instance(problem, cfg.instance_seed)
+    for problem, inst in zip(cfg.problems, _check_sweep(cfg)):
         label = inst.descriptor()
         for t in problem.get("t_values", cfg.t_values):
             for noise in cfg.noise_values:

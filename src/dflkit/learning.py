@@ -1,17 +1,21 @@
 """Linear predictor, surrogate-gradient engines, the regret kernel, and the
 training loop.
 
-Gradient engines (all return a gradient with respect to the predicted cost
-vector; the chain rule to predictor parameters is ``g z^T``):
+Gradient engines (all return gradients with respect to the predicted cost
+vectors, one row per sample; the chain rule to predictor parameters is
+``g z^T``).  Each is a minibatch kernel that makes one ``solve_batch`` call:
 
-* ``spo_plus_gradient``: ``2 * (xbar - x*(2 chat - c_ref))`` where ``xbar``
-  is the mean target decision and ``c_ref`` the target reference cost (the
-  sample's own cost except under KNN; see ``SampleTargets.ref_cost``).
-  One nominal solve per call.
-* ``pfyl_gradient``: ``xbar - mean_j x*(chat + sigma * zeta_j)`` with
-  standard-normal perturbations from a dedicated stream; ``samples`` nominal
-  solves per call.
+* ``spo_plus_batch_gradient``: ``2 * (xbar - x*(2 chat - c_ref))`` where
+  ``xbar`` is the mean target decision and ``c_ref`` the target reference
+  cost (the sample's own cost except under KNN; see
+  ``SampleTargets.ref_cost``).  One nominal solve per row.
+* ``pfyl_batch_gradient``: ``xbar - mean_j x*(chat + sigma * zeta_j)`` with
+  standard-normal perturbations from a dedicated stream, drawn for the whole
+  minibatch at once; ``samples`` nominal solves per row.
 * ``mse_gradient``: gradient of ``(1/n) ||chat - c||^2``; no solves.
+
+``spo_plus_gradient`` and ``pfyl_gradient`` are the one-row calls of the
+first two.
 
 Regret kernel: ``decision_regret`` gives per-row regrets
 ``c_i^T x*(chat_i) - c_i^T x*(c_i)`` against any cost matrix, reusing
@@ -25,6 +29,14 @@ seeded shuffling, mean-aggregated minibatch gradients, one bias-corrected
 Adam step per minibatch, and picks the snapshot with the best validation
 empirical regret (earliest on ties).  Gradient-path and evaluation-path
 solves are audited separately.
+
+Batching keeps every byte of the per-sample computation: the stacked matvec
+``np.matmul(theta[None], Z[:, :, None])`` equals ``theta @ z`` per row, the
+axis-0 sum of ``G[:, :, None] * Z[:, None, :]`` equals accumulating
+``np.outer(g, z)`` sample by sample, one ``normal((b, s, n))`` draw equals
+``b`` draws of ``(s, n)``, and the row dot
+``np.matmul(C[:, None, :], X[:, :, None])`` equals ``np.dot`` per row.
+The tests pin all four.
 """
 
 from __future__ import annotations
@@ -37,7 +49,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .core import Dataset, DimensionError, RngStream, STREAM_PFYL, STREAM_SHUFFLE
-from .oracles import OracleAudit, solve
+from .oracles import OracleAudit, solve, solve_batch
 from .targets import (Empirical, KNN, RobustOpt, SampleTargets, TargetPolicy,
                       TargetSet, TopK, policy_label, policy_to_dict)
 
@@ -56,14 +68,6 @@ class LinearPredictor:
     def zeros(n: int, m: int) -> "LinearPredictor":
         return LinearPredictor(theta=np.zeros((n, m)))
 
-    def predict(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=np.float64)
-        if z.shape != (self.theta.shape[1],):
-            raise DimensionError(
-                f"feature vector has shape {z.shape}, predictor expects "
-                f"({self.theta.shape[1]},)")
-        return self.theta @ z
-
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
         return features @ self.theta.T
 
@@ -72,33 +76,49 @@ class LinearPredictor:
 
 
 def mse_gradient(c, chat) -> np.ndarray:
+    """Gradient for one cost vector, or row by row for a ``(b, n)`` batch."""
     c = np.asarray(c, dtype=np.float64)
     chat = np.asarray(chat, dtype=np.float64)
     if c.shape != chat.shape:
         raise DimensionError("cost vectors differ in length")
-    return (2.0 / c.shape[0]) * (chat - c)
+    return (2.0 / c.shape[-1]) * (chat - c)
+
+
+def spo_plus_batch_gradient(xbar: np.ndarray, ref: np.ndarray, chat: np.ndarray,
+                            inst, audit: Optional[OracleAudit] = None) -> np.ndarray:
+    """SPO+ gradients of a minibatch: rows of ``xbar`` (mean target
+    decisions), ``ref`` (reference costs) and ``chat`` (predictions)."""
+    return 2.0 * (xbar - solve_batch(inst, 2.0 * chat - ref, audit))
 
 
 def spo_plus_gradient(ts_i: SampleTargets, chat: np.ndarray, inst,
                       audit: Optional[OracleAudit] = None) -> np.ndarray:
-    xbar = ts_i.decision_mean()
-    x_adj = solve(inst, 2.0 * chat - ts_i.ref_cost, audit)
-    return 2.0 * (xbar - x_adj)
+    return spo_plus_batch_gradient(ts_i.decision_mean()[None], ts_i.ref_cost[None],
+                                   np.asarray(chat, dtype=np.float64)[None], inst, audit)[0]
+
+
+def pfyl_batch_gradient(xbar: np.ndarray, chat: np.ndarray, inst, samples: int,
+                        sigma: float, stream: RngStream,
+                        audit: Optional[OracleAudit] = None) -> np.ndarray:
+    """PFYL gradients of a minibatch: rows of ``xbar`` and ``chat``, with
+    ``samples`` perturbations per row drawn as one ``(b, samples, n)`` block."""
+    if samples < 1:
+        raise ValueError("need at least one perturbation sample")
+    if sigma < 0:
+        raise ValueError("perturbation amplitude must be non-negative")
+    b, n = chat.shape
+    zeta = stream.normal((b, samples, n))
+    X = solve_batch(inst, (chat[:, None, :] + sigma * zeta).reshape(b * samples, n), audit)
+    # sums of 0/1 entries are exact, so the summation order cannot matter
+    return xbar - X.reshape(b, samples, n).sum(axis=1) / samples
 
 
 def pfyl_gradient(ts_i: SampleTargets, chat: np.ndarray, inst,
                   samples: int, sigma: float, stream: RngStream,
                   audit: Optional[OracleAudit] = None) -> np.ndarray:
-    if samples < 1:
-        raise ValueError("need at least one perturbation sample")
-    if sigma < 0:
-        raise ValueError("perturbation amplitude must be non-negative")
-    xbar = ts_i.decision_mean()
-    zeta = stream.normal((samples, chat.shape[0]))
-    acc = np.zeros(chat.shape[0])
-    for j in range(samples):
-        acc += solve(inst, chat + sigma * zeta[j], audit)
-    return xbar - acc / samples
+    return pfyl_batch_gradient(ts_i.decision_mean()[None],
+                               np.asarray(chat, dtype=np.float64)[None], inst,
+                               samples, sigma, stream, audit)[0]
 
 
 def spo_plus_surrogate(ts_i: SampleTargets, chat: np.ndarray, inst,
@@ -167,6 +187,9 @@ def adam_step(state: AdamState, params: Dict[str, np.ndarray],
     return params
 
 
+METHODS = ("spo+", "pfyl", "mse")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     method: str                      # "spo+" | "pfyl" | "mse"
@@ -179,7 +202,7 @@ class TrainConfig:
     pfyl_sigma: float = 1.0
 
     def __post_init__(self):
-        if self.method not in ("spo+", "pfyl", "mse"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.policy is None and self.method != "mse":
             raise ValueError(f"method {self.method!r} needs a target policy")
@@ -235,9 +258,15 @@ class TrainedModel:
     audit: SolveCounts
 
 
+def _row_dot(C: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``C[i] @ X[i]`` for every row, bit-identical to ``np.dot`` per row."""
+    return np.matmul(C[:, None, :], X[:, :, None])[:, 0, 0]
+
+
 def optimal_values(inst, costs, audit: Optional[OracleAudit] = None) -> np.ndarray:
     """``c_i^T x*(c_i)`` for every row of ``costs``; one nominal solve each."""
-    return np.array([float(np.dot(c, solve(inst, c, audit))) for c in costs])
+    costs = np.asarray(costs, dtype=np.float64)
+    return _row_dot(costs, solve_batch(inst, costs, audit))
 
 
 def decision_regret(inst, pred, costs, opt_values: Optional[np.ndarray] = None,
@@ -250,8 +279,7 @@ def decision_regret(inst, pred, costs, opt_values: Optional[np.ndarray] = None,
     """
     if opt_values is None:
         opt_values = optimal_values(inst, costs, audit)
-    achieved = np.array([float(np.dot(c, solve(inst, p, audit)))
-                         for p, c in zip(pred, costs)])
+    achieved = _row_dot(np.asarray(costs, dtype=np.float64), solve_batch(inst, pred, audit))
     return achieved - opt_values, opt_values
 
 
@@ -304,6 +332,9 @@ def train(cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset, inst,
 
     features = train_ds.features
     costs = train_ds.costs
+    if per_sample is not None:
+        xbars = np.array([st.decision_mean() for st in per_sample])
+        refs = np.array([st.ref_cost for st in per_sample])
     history: List[EpochStats] = []
     best_val = math.inf
     best_epoch = 0
@@ -313,21 +344,21 @@ def train(cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset, inst,
         order = shuffle_stream.permutation(t)
         for lo in range(0, t, cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
-            g_theta = np.zeros((n, m))
-            for i in batch:
-                z = features[i]
-                chat = params["theta"] @ z
-                if cfg.method == "spo+":
-                    g = spo_plus_gradient(per_sample[i], chat, inst, grad_audit)
-                elif cfg.method == "pfyl":
-                    g = pfyl_gradient(per_sample[i], chat, inst, cfg.pfyl_samples,
-                                      cfg.pfyl_sigma, pfyl_stream, grad_audit)
-                else:
-                    g = mse_gradient(costs[i], chat)
-                if not np.all(np.isfinite(g)):
-                    raise TrainingError(
-                        f"non-finite cost gradient at epoch {epoch}, sample {i}")
-                g_theta += np.outer(g, z)
+            Z = features[batch]
+            chat = np.matmul(params["theta"][None], Z[:, :, None])[:, :, 0]
+            if cfg.method == "spo+":
+                G = spo_plus_batch_gradient(xbars[batch], refs[batch], chat, inst,
+                                            grad_audit)
+            elif cfg.method == "pfyl":
+                G = pfyl_batch_gradient(xbars[batch], chat, inst, cfg.pfyl_samples,
+                                        cfg.pfyl_sigma, pfyl_stream, grad_audit)
+            else:
+                G = mse_gradient(costs[batch], chat)
+            bad = ~np.isfinite(G).all(axis=1)
+            if bad.any():
+                raise TrainingError(f"non-finite cost gradient at epoch {epoch}, "
+                                    f"sample {batch[bad.argmax()]}")
+            g_theta = (G[:, :, None] * Z[:, None, :]).sum(axis=0)
             g_theta /= len(batch)
             adam_step(state, params, {"theta": g_theta})
         train_pct = split_pct(train_ds, tr_opt_val)

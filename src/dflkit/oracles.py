@@ -20,6 +20,15 @@ compare two ways into a state by their summed costs and break an exact tie
 there by the supports, so wherever those sums are exact (integer or dyadic
 costs, for instance) the result is the rule above in exact arithmetic.
 
+Batched solves (:func:`solve_batch`) return, row for row, exactly what
+:func:`solve` returns.  The grid DP and Held-Karp run across all rows at
+once and flag every row that meets an exact float64 tie: a DP state with two
+equal-cost ways in, or equal closing TSP edges from two different tours (a
+tour and its own reverse have the same support, so that is no tie).  Flagged
+rows are re-solved one by one by the scalar DP, which stays the only code
+that applies the tie rule; ``OracleAudit.fallback_count`` counts them.
+``SelectOne`` takes a plain ``argmin``, which keeps the smallest index.
+
 Excluded edges are modelled with a large cost sentinel rather than true
 infinity so the dynamic programs stay in ordinary float arithmetic; inputs
 large enough to be confused with the sentinel are rejected up front.
@@ -43,25 +52,38 @@ BIG_CUTOFF = 1e11   # any objective at or above this marks an infeasible branch
 
 INF = math.inf
 
+# DP table entries (rows times per-row table size) that solve_batch works on
+# at once; for TSP the per-row table is (2^(nodes-1), nodes), so an 8-node
+# block holds 64 rows and a 10-node block 12.
+BATCH_TABLE_ENTRIES = 1 << 16
+
 
 class OracleAudit:
     """Thread-safe counter of nominal-solve invocations.
 
     Incremented exactly once per nominal solve, including the nominal solves
-    performed inside ``robust_solve`` and ``top_k_solve``.
+    performed inside ``robust_solve`` and ``top_k_solve``; a batch of ``B``
+    rows counts ``B``.  ``fallback_count`` is the number of batch rows that
+    met an exact tie and were re-solved by the scalar DP.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._count = 0
+        self._fallback = 0
 
     @property
     def solve_count(self) -> int:
         return self._count
 
-    def add(self, k: int = 1) -> None:
+    @property
+    def fallback_count(self) -> int:
+        return self._fallback
+
+    def add(self, k: int = 1, fallback: int = 0) -> None:
         with self._lock:
             self._count += k
+            self._fallback += fallback
 
 
 @dataclass(frozen=True)
@@ -81,11 +103,15 @@ class UncertaintyParams:
             raise ValueError("uncertainty parameters must be non-negative")
 
 
-def _check_costs(inst, costs) -> np.ndarray:
+def _check_costs(inst, costs, ndim: int = 1) -> np.ndarray:
+    """A cost vector (``ndim=1``) or a ``(rows, n)`` cost batch (``ndim=2``)
+    as float64, rejecting wrong shapes, non-finite and sentinel-sized entries."""
     c = np.asarray(costs, dtype=np.float64)
-    if c.ndim != 1 or c.shape[0] != inst.n:
+    if c.ndim != ndim or c.shape[-1] != inst.n:
+        want = f"length {inst.n}" if ndim == 1 else f"(rows, {inst.n})"
         raise DimensionError(
-            f"cost vector has shape {c.shape}, instance expects length {inst.n}")
+            f"cost {'vector' if ndim == 1 else 'batch'} has shape {c.shape}, "
+            f"instance expects {want}")
     # one reduction serves both checks: NaN and inf propagate through max
     biggest = float(np.abs(c).max(initial=0.0))
     if not math.isfinite(biggest):
@@ -142,6 +168,8 @@ class GridShortestPath:
         self.h = int(h_cols)
         self.n = self.v * (self.h - 1) + self.h * (self.v - 1)
         self._n_h = self.v * (self.h - 1)
+        self.row_table_entries = self.v * self.h + 1  # solve_batch's per-row DP table
+        self._wave_tables = None  # index arrays, built by _batch_tables
 
     def _h_idx(self, r: int, c: int) -> int:
         return r * (self.h - 1) + c
@@ -172,6 +200,69 @@ class GridShortestPath:
         bits = np.zeros(self.n)
         bits[edges] = 1.0
         return bits
+
+    def solve_nominal_batch(self, C: np.ndarray):
+        """The nominal DP over every row of ``C`` at once, one anti-diagonal
+        of cells per step.  Returns ``(decisions, tied)``: ``tied`` flags the
+        rows where some cell's two ways in cost exactly the same, whose
+        decisions :func:`solve_batch` takes from :meth:`solve_nominal`."""
+        v, h, n = self.v, self.h, self.n
+        rows = C.shape[0]
+        pad = v * h                          # a cell index that always holds INF
+        dist = np.empty((pad + 1, rows))
+        dist[0] = 0.0
+        dist[pad] = INF
+        costs = np.empty((n + 1, rows))      # row n: a border cell's missing edge
+        costs[:n] = C.T
+        costs[n] = 0.0
+        down = np.zeros((pad, rows), dtype=bool)
+        equal = np.zeros((pad, rows), dtype=bool)
+        waves, back_cell, back_edge = self._batch_tables()
+        for cells, ins, edges in waves:
+            cand = dist[ins] + costs[edges]  # from the left, then from above
+            from_left, from_up = cand[:len(cells)], cand[len(cells):]
+            down[cells] = from_up < from_left
+            equal[cells] = from_up == from_left
+            dist[cells] = np.minimum(from_up, from_left)
+        # walk back from the sink, one edge of every row per step
+        X = np.zeros((rows, n))
+        idx = np.arange(rows)
+        cell = np.full(rows, pad - 1)
+        for _ in range(v + h - 2):
+            key = 2 * cell + down[cell, idx]
+            X[idx, back_edge[key]] = 1.0
+            cell = back_cell[key]
+        return X, equal.any(axis=0)
+
+    def _batch_tables(self):
+        """Index arrays for :meth:`solve_nominal_batch`, built once.
+
+        ``waves``: per anti-diagonal ``r + c = d >= 1``, its flat cell indices
+        ``r h + c``, then the cells each is entered from (all left neighbours,
+        then all upper ones) and the edges from them.  A border cell's missing
+        neighbour is the INF pad cell ``v h`` and its missing edge is ``n``.
+        ``back_cell`` and ``back_edge``: for key ``2 * cell + down``, the cell
+        the path came from and the edge it took (impossible moves are never
+        read)."""
+        if self._wave_tables is None:
+            v, h, pad, n = self.v, self.h, self.v * self.h, self.n
+            waves = []
+            for d in range(1, v + h - 1):
+                rs = range(max(0, d - h + 1), min(v - 1, d) + 1)
+                waves.append((
+                    np.array([r * h + d - r for r in rs]),
+                    np.array([r * h + d - r - 1 if d > r else pad for r in rs]
+                             + [(r - 1) * h + d - r if r else pad for r in rs]),
+                    np.array([self._h_idx(r, d - r - 1) if d > r else n for r in rs]
+                             + [self._v_idx(r - 1, d - r) if r else n for r in rs])))
+            back_cell, back_edge = [], []
+            for cell in range(pad):
+                r, c = divmod(cell, h)
+                back_cell += [cell - 1, cell - h]
+                back_edge += [self._h_idx(r, c - 1) if c else 0,
+                              self._v_idx(r - 1, c) if r else 0]
+            self._wave_tables = (waves, np.array(back_cell), np.array(back_edge))
+        return self._wave_tables
 
     def _segment_solve(self, costs, excluded, start):
         """Min-cost path start->sink honouring exclusions and the tie rule.
@@ -332,7 +423,13 @@ class DenseTSP:
         self.coords = coords
         self._pairs = [(i, j) for i in range(self.n_nodes) for j in range(i + 1, self.n_nodes)]
         self._pair_idx = {p: k for k, p in enumerate(self._pairs)}
-        self._tours = None  # (bits, support) per canonical tour, cached by top_k
+        self._pair_matrix = np.zeros((self.n_nodes, self.n_nodes), dtype=np.intp)
+        for k, (i, j) in enumerate(self._pairs):
+            self._pair_matrix[i, j] = self._pair_matrix[j, i] = k
+        # solve_batch's per-row table: one entry per (odd mask, last node)
+        self.row_table_entries = (1 << (self.n_nodes - 1)) * self.n_nodes
+        self._layer_tables = None  # Held-Karp index arrays, built by _hk_layers
+        self._tours = None  # (tour matrix, support ranks), built by top_k
 
     def pair_index(self, i: int, j: int) -> int:
         if i == j:
@@ -360,13 +457,6 @@ class DenseTSP:
             d[j][i] = cost
         return d
 
-    def _tour_bits(self, order: Sequence[int]) -> np.ndarray:
-        bits = np.zeros(self.n)
-        nn = len(order)
-        for k in range(nn):
-            bits[self.pair_index(order[k], order[(k + 1) % nn])] = 1.0
-        return bits
-
     # -- nominal solve -----------------------------------------------------
 
     def solve_nominal(self, costs: np.ndarray) -> np.ndarray:
@@ -374,10 +464,7 @@ class DenseTSP:
         keeps its cost and one predecessor node; when two ways into a state
         cost exactly the same, the path with the lex-smaller support wins,
         and the closing edge back to node 0 is chosen the same way."""
-        if self.n_nodes > self.SOLVE_MAX_NODES:
-            raise ValueError(
-                f"exact TSP solve capped at {self.SOLVE_MAX_NODES} nodes, "
-                f"instance has {self.n_nodes}")
+        self._check_solve_cap()
         nn = self.n_nodes
         d = self._matrix(costs)
         full = (1 << nn) - 1
@@ -414,6 +501,90 @@ class DenseTSP:
         bits[edges] = 1.0
         return bits
 
+    def _check_solve_cap(self):
+        if self.n_nodes > self.SOLVE_MAX_NODES:
+            raise ValueError(
+                f"exact TSP solve capped at {self.SOLVE_MAX_NODES} nodes, "
+                f"instance has {self.n_nodes}")
+
+    def solve_nominal_batch(self, C: np.ndarray):
+        """Held-Karp over every row of ``C`` at once, one popcount layer of
+        states per step.  Returns ``(decisions, tied)``: ``tied`` flags the
+        rows where some state's cheapest ways in cost exactly the same, or
+        where the cheapest closing edges finish two different tours; their
+        decisions :func:`solve_batch` takes from :meth:`solve_nominal`."""
+        self._check_solve_cap()
+        nn = self.n_nodes
+        rows = C.shape[0]
+        costs = np.ascontiguousarray(C.T)                 # (n, rows)
+        dp = np.empty((self.row_table_entries, rows))     # state (mask >> 1) * nn + last
+        pred = np.empty((self.row_table_entries, rows), dtype=np.int8)
+        dp[0] = 0.0                                       # mask 1, last 0
+        tied = np.zeros(rows, dtype=bool)
+        for states, prev_states, prev_nodes, edges in self._hk_layers():
+            cand = dp[prev_states] + costs[edges]         # (states, ways in, rows)
+            best = cand.min(axis=1)
+            if cand.shape[1] > 1:
+                tied |= ((cand == best[:, None]).sum(axis=1) > 1).any(axis=0)
+            dp[states] = best
+            pred[states] = prev_nodes[np.arange(len(states))[:, None], cand.argmin(axis=1)]
+        lasts = np.arange(1, nn)
+        close = dp[(((1 << nn) - 1) >> 1) * nn + lasts] + costs[self._pair_matrix[lasts, 0]]
+        best = close.min(axis=0)
+        X = self._hk_walk(pred, np.arange(rows), close.argmin(axis=0) + 1)
+        minima = (close == best).sum(axis=0)
+        tied |= minima > 2
+        two = np.flatnonzero(minima == 2)
+        if two.size:
+            # a tour and its own reverse close at different nodes: no tie
+            second = nn - 1 - (close[::-1, two] == best[two]).argmax(axis=0)
+            tied[two] |= (self._hk_walk(pred, two, second) != X[two]).any(axis=1)
+        return X, tied
+
+    def _hk_walk(self, pred, cols, last):
+        """Tours of the batch columns ``cols`` that close from node ``last``
+        (one per column), read back through the predecessor table."""
+        nn = self.n_nodes
+        idx = np.arange(len(cols))
+        X = np.zeros((len(cols), self.n))
+        X[idx, self._pair_matrix[last, 0]] = 1.0
+        mask = np.full(len(cols), (1 << nn) - 1)
+        for _ in range(nn - 1):
+            prev = pred[(mask >> 1) * nn + last, cols].astype(np.intp)
+            X[idx, self._pair_matrix[prev, last]] = 1.0
+            mask = mask ^ (1 << last)
+            last = prev
+        return X
+
+    def _hk_layers(self):
+        """Per popcount ``size`` of the visited mask (2 to ``nodes``): the
+        layer's states ``(mask >> 1) * nodes + nxt`` and, for each state, its ways
+        in: predecessor states, their last nodes (ascending) and the edges
+        from them to ``nxt``."""
+        if self._layer_tables is None:
+            nn = self.n_nodes
+            masks = np.arange(1, 1 << nn, 2)
+            bits = (masks[:, None] >> np.arange(1, nn)) & 1    # nodes 1 .. nn-1
+            sizes = bits.sum(axis=1) + 1
+            layers = []
+            for size in range(2, nn + 1):
+                ms = masks[sizes == size]
+                nxt = np.nonzero(bits[sizes == size])[1].reshape(len(ms), size - 1) + 1
+                if size == 2:
+                    ways = np.zeros((len(ms), 1, 1), dtype=np.intp)   # from node 0
+                else:  # the other visited nodes besides 0 and nxt
+                    others = [[i for i in range(size - 1) if i != j] for j in range(size - 1)]
+                    ways = nxt[:, others]
+                prev = ms[:, None] ^ (1 << nxt)
+                count = nxt.size
+                layers.append((
+                    ((ms[:, None] >> 1) * nn + nxt).ravel(),
+                    ((prev[:, :, None] >> 1) * nn + ways).reshape(count, -1).astype(np.int32),
+                    ways.reshape(count, -1).astype(np.int8),
+                    self._pair_matrix[ways, nxt[:, :, None]].reshape(count, -1).astype(np.int32)))
+            self._layer_tables = layers
+        return self._layer_tables
+
     def _path_edges(self, pred, mask, last):
         """Edges of the stored path from node 0 through ``mask`` to ``last``."""
         edges = []
@@ -443,24 +614,30 @@ class DenseTSP:
 
     def top_k(self, costs: np.ndarray, k: int):
         """Exhaustive canonical-tour enumeration keeping a k-best set; the
-        single enumeration pass counts as one nominal evaluation.  The tour
-        vectors are built once per instance and kept read-only; callers get
-        copies.  Two threads racing on the first call build equal lists."""
+        single enumeration pass counts as one nominal evaluation.  The tours
+        are built once per instance as one read-only ``(tours, n)`` matrix,
+        with each tour's rank in lex order of sorted supports as its tie key;
+        callers get copies.  Two threads racing on the first call build equal
+        matrices."""
         if self.n_nodes > self.TOPK_MAX_NODES:
             raise ValueError(
                 f"k-best TSP enumeration capped at {self.TOPK_MAX_NODES} nodes, "
                 f"instance has {self.n_nodes}")
         if self._tours is None:
-            tours = []
-            for order in self.canonical_tours():
-                bits = self._tour_bits(order)
-                bits.flags.writeable = False
-                tours.append((bits, _support(bits)))
-            self._tours = tours
-        scored = [(float(np.dot(costs, bits)), supp, bits) for bits, supp in self._tours]
-        best = heapq.nsmallest(k, scored, key=lambda rec: (rec[0], rec[1]))
-        # copies keep callers from writing into the cached tour vectors
-        return [bits.copy() for _, _, bits in best], 1
+            supports = [sorted(self.pair_index(order[i - 1], order[i])
+                               for i in range(len(order)))
+                        for order in self.canonical_tours()]
+            tours = np.zeros((len(supports), self.n))
+            tours[np.arange(len(supports))[:, None], supports] = 1.0
+            tours.flags.writeable = False
+            ranks = np.empty(len(supports), dtype=np.intp)
+            ranks[sorted(range(len(supports)), key=supports.__getitem__)] = \
+                np.arange(len(supports))
+            self._tours = (tours, ranks)
+        tours, ranks = self._tours
+        scores = np.matmul(tours[:, None, :], costs[:, None])[:, 0, 0]
+        # copies keep callers from writing into the cached tour matrix
+        return [tours[i].copy() for i in np.lexsort((ranks, scores))[:k]], 1
 
     # -- feasibility -------------------------------------------------------
 
@@ -499,6 +676,7 @@ class SelectOne:
         if n < 1:
             raise ValueError("need at least one option")
         self.n = int(n)
+        self.row_table_entries = self.n
 
     def descriptor(self) -> str:
         return f"select:{self.n}"
@@ -507,6 +685,13 @@ class SelectOne:
         bits = np.zeros(self.n)
         bits[int(np.argmin(costs))] = 1.0  # argmin keeps the smallest index on ties
         return bits
+
+    def solve_nominal_batch(self, C: np.ndarray):
+        """Row-wise ``argmin``, which already applies the tie rule: no row is
+        ever flagged."""
+        X = np.zeros(C.shape)
+        X[np.arange(C.shape[0]), np.argmin(C, axis=1)] = 1.0
+        return X, np.zeros(C.shape[0], dtype=bool)
 
     def top_k(self, costs: np.ndarray, k: int):
         order = sorted(range(self.n), key=lambda i: (costs[i], i))
@@ -532,6 +717,26 @@ def solve(inst, costs, audit: Optional[OracleAudit] = None) -> np.ndarray:
     if audit is not None:
         audit.add(1)
     return inst.solve_nominal(c)
+
+
+def solve_batch(inst, costs, audit: Optional[OracleAudit] = None) -> np.ndarray:
+    """Row ``i`` of the result is ``solve(inst, costs[i])``, for every row of
+    the ``(B, n)`` cost batch; counts ``B`` nominal solves.  Rows run in
+    blocks of at most :data:`BATCH_TABLE_ENTRIES` DP table entries, and rows
+    that meet an exact tie are re-solved by the scalar DP."""
+    C = _check_costs(inst, costs, ndim=2)
+    X = np.zeros(C.shape)
+    block = max(1, BATCH_TABLE_ENTRIES // inst.row_table_entries)
+    fallback = 0
+    for lo in range(0, C.shape[0], block):
+        part = C[lo:lo + block]
+        X[lo:lo + block], tied = inst.solve_nominal_batch(part)
+        for i in np.flatnonzero(tied).tolist():
+            X[lo + i] = inst.solve_nominal(part[i])
+        fallback += int(tied.sum())
+    if audit is not None:
+        audit.add(C.shape[0], fallback)
+    return X
 
 
 def top_k_solve(inst, costs, k: int, audit: Optional[OracleAudit] = None) -> List[np.ndarray]:
@@ -592,12 +797,11 @@ def robust_solve(inst, costs, u: UncertaintyParams,
     if u.rho == 0.0:
         return solve(inst, c, audit)
     devs = u.rho * np.abs(c)
-    thresholds = sorted({0.0, *(float(dv) for dv in devs)})
+    thresholds = np.array(sorted({0.0, *(float(dv) for dv in devs)}))
+    adjusted = c + np.maximum(devs - thresholds[:, None], 0.0)
     best = None
     seen = set()
-    for theta in thresholds:
-        adjusted = c + np.maximum(devs - theta, 0.0)
-        cand = solve(inst, adjusted, audit)
+    for cand in solve_batch(inst, adjusted, audit):
         key = _support(cand)
         if key in seen:
             continue

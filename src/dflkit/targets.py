@@ -14,15 +14,14 @@ estimator.  Distances are plain Euclidean in raw feature space, brute force.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from .core import Dataset, DimensionError
-from .oracles import OracleAudit, UncertaintyParams, robust_solve, solve, top_k_solve
+from .oracles import (OracleAudit, UncertaintyParams, robust_solve, solve, solve_batch,
+                      top_k_solve)
 
 
 @dataclass(frozen=True)
@@ -156,7 +155,8 @@ def build_targets(policy: TargetPolicy, ds: Dataset, inst,
 
     Empirical and RobustOpt store one pair per sample; TopK and KNN store
     ``min(k, available)`` pairs.  All stored decisions are feasible by
-    construction.
+    construction.  KNN solves every interpolated cost of the dataset in one
+    ``solve_batch`` call; the other policies work sample by sample.
     """
     if ds.meta.n != inst.n:
         raise DimensionError(
@@ -164,77 +164,28 @@ def build_targets(policy: TargetPolicy, ds: Dataset, inst,
     if audit is None:
         audit = OracleAudit()
     start = audit.solve_count
-    per_sample = []
-    for i in range(len(ds)):
-        c = ds.costs[i]
-        if isinstance(policy, Empirical):
-            x = solve(inst, c, audit)
-            per_sample.append(SampleTargets(
-                costs=np.array([c]), decisions=np.array([x]), ref_cost=c.copy()))
-        elif isinstance(policy, RobustOpt):
-            x = robust_solve(inst, c, policy.u, audit)
-            per_sample.append(SampleTargets(
-                costs=np.array([c]), decisions=np.array([x]), ref_cost=c.copy()))
-        elif isinstance(policy, TopK):
-            decs = top_k_solve(inst, c, policy.k, audit)
+    if isinstance(policy, KNN):
+        k, w = min(policy.k, len(ds) - 1), policy.w
+        raws = [ds.costs[knn_neighbors(ds, i, k)] for i in range(len(ds))]
+        costs_w = [w * raw + (1.0 - w) * c for raw, c in zip(raws, ds.costs)]
+        decisions = solve_batch(inst, np.concatenate(costs_w), audit)
+        per_sample = [SampleTargets(costs=cw, decisions=x,
+                                    ref_cost=w * raw.mean(axis=0) + (1.0 - w) * c)
+                      for raw, c, cw, x in zip(raws, ds.costs, costs_w,
+                                               decisions.reshape(len(ds), k, inst.n))]
+    else:
+        per_sample = []
+        for c in ds.costs:
+            if isinstance(policy, Empirical):
+                decs = [solve(inst, c, audit)]
+            elif isinstance(policy, RobustOpt):
+                decs = [robust_solve(inst, c, policy.u, audit)]
+            elif isinstance(policy, TopK):
+                decs = top_k_solve(inst, c, policy.k, audit)
+            else:
+                raise TypeError(f"unknown target policy: {policy!r}")
             per_sample.append(SampleTargets(
                 costs=np.array([c] * len(decs)), decisions=np.array(decs),
                 ref_cost=c.copy()))
-        elif isinstance(policy, KNN):
-            k = min(policy.k, len(ds) - 1)
-            neighbours = knn_neighbors(ds, i, k)
-            raw = np.array([ds.costs[j] for j in neighbours])
-            costs_w = policy.w * raw + (1.0 - policy.w) * c
-            decs = np.array([solve(inst, cw, audit) for cw in costs_w])
-            ref = policy.w * raw.mean(axis=0) + (1.0 - policy.w) * c
-            per_sample.append(SampleTargets(
-                costs=costs_w, decisions=decs, ref_cost=ref))
-        else:
-            raise TypeError(f"unknown target policy: {policy!r}")
     return TargetSet(policy=policy, per_sample=tuple(per_sample),
                      precompute_solves=audit.solve_count - start)
-
-
-def dataset_hash(ds: Dataset) -> str:
-    h = hashlib.sha256()
-    h.update(ds.features.tobytes())
-    h.update(ds.costs.tobytes())
-    h.update(ds.meta.instance.encode())
-    return h.hexdigest()
-
-
-def save_targets(ts: TargetSet, path, ds: Dataset) -> None:
-    """Cache a target set as JSON keyed by dataset hash and policy params."""
-    payload = {
-        "dataset_hash": dataset_hash(ds),
-        "policy": policy_to_dict(ts.policy),
-        "precompute_solves": ts.precompute_solves,
-        "per_sample": [
-            {
-                "costs": st.costs.tolist(),
-                "decisions": st.decisions.tolist(),
-                "ref_cost": st.ref_cost.tolist(),
-            }
-            for st in ts.per_sample
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def load_targets(path, ds: Dataset) -> TargetSet:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload["dataset_hash"] != dataset_hash(ds):
-        raise ValueError("cached targets were built for a different dataset")
-    per_sample = tuple(
-        SampleTargets(
-            costs=np.array(rec["costs"]),
-            decisions=np.array(rec["decisions"]),
-            ref_cost=np.array(rec["ref_cost"]),
-        )
-        for rec in payload["per_sample"]
-    )
-    return TargetSet(policy=policy_from_dict(payload["policy"]),
-                     per_sample=per_sample,
-                     precompute_solves=int(payload["precompute_solves"]))

@@ -1,0 +1,231 @@
+"""Batched solves and batched training equal their per-row forms, bit for bit.
+
+``solve_batch`` must return, row for row, what ``solve`` returns, count one
+nominal solve per row, and send exactly the rows that meet an exact tie to
+the scalar DP.  The batched training path rests on four numpy identities,
+pinned here so that a numpy upgrade breaking one fails the suite.
+"""
+
+import numpy as np
+import pytest
+
+from dflkit.core import DimensionError, RngStream
+from dflkit.datagen import GenParams, generate_splits
+from dflkit.learning import (pfyl_batch_gradient, pfyl_gradient,
+                             spo_plus_batch_gradient, spo_plus_gradient)
+from dflkit.oracles import (BIG_CUTOFF, DenseTSP, GridShortestPath, OracleAudit,
+                            SelectOne, solve, solve_batch)
+from dflkit.targets import KNN, build_targets
+
+from test_oracles import dyadic_near_ties
+
+INSTANCES = [GridShortestPath(2, 2), GridShortestPath(5, 5), GridShortestPath(10, 10),
+             DenseTSP(3), DenseTSP(6), DenseTSP(8), SelectOne(5)]
+IDS = [inst.descriptor() for inst in INSTANCES]
+ROWS = 60
+
+
+def cost_rows(inst, kind, seed=0):
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        return rng.normal(size=(ROWS, inst.n))
+    if kind == "datagen":
+        params = GenParams(m=5, deg=6, noise_halfwidth=0.5, t_train=ROWS, t_val=1,
+                           t_test=1, seed=seed)
+        return np.array(generate_splits(inst, params)[0].costs)
+    if kind == "integer":
+        return rng.integers(0, 3, size=(ROWS, inst.n)).astype(float)
+    return np.array([dyadic_near_ties(rng, inst.n) for _ in range(ROWS)])
+
+
+def per_row(inst, C):
+    return np.array([solve(inst, c) for c in C]).reshape(C.shape)
+
+
+class TestBatchedEqualsPerRow:
+    @pytest.mark.parametrize("kind", ["normal", "datagen", "integer", "dyadic"])
+    @pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
+    def test_law(self, inst, kind):
+        C = cost_rows(inst, kind)
+        audit = OracleAudit()
+        X = solve_batch(inst, C, audit)
+        assert X.tobytes() == per_row(inst, C).tobytes()
+        assert audit.solve_count == ROWS
+
+    @pytest.mark.parametrize("kind", ["normal", "datagen"])
+    @pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
+    def test_no_fallback_without_ties(self, inst, kind):
+        # about half of all TSP rows close a tour and its own reverse at
+        # equal cost; that is no tie and must not fall back
+        audit = OracleAudit()
+        solve_batch(inst, cost_rows(inst, kind), audit)
+        assert audit.fallback_count == 0
+
+    @pytest.mark.parametrize("inst", [INSTANCES[2], INSTANCES[4], INSTANCES[5]],
+                             ids=[IDS[2], IDS[4], IDS[5]])
+    def test_integer_ties_all_fall_back(self, inst):
+        audit = OracleAudit()
+        solve_batch(inst, cost_rows(inst, "integer"), audit)
+        assert audit.fallback_count == ROWS
+
+    @pytest.mark.parametrize("inst", [GridShortestPath(2, 2), GridShortestPath(5, 5),
+                                      DenseTSP(4), DenseTSP(6)],
+                             ids=["grid2x2", "grid5x5", "tsp4", "tsp6"])
+    def test_constant_rows_all_fall_back(self, inst):
+        C = np.repeat([[0.0], [1.0], [2.0]], inst.n, axis=1)
+        audit = OracleAudit()
+        X = solve_batch(inst, C, audit)
+        assert X.tobytes() == per_row(inst, C).tobytes()
+        assert audit.fallback_count == 3
+
+    def test_select_argmin_never_falls_back(self):
+        inst = SelectOne(5)
+        C = cost_rows(inst, "integer")
+        audit = OracleAudit()
+        assert solve_batch(inst, C, audit).tobytes() == per_row(inst, C).tobytes()
+        assert audit.fallback_count == 0
+
+    def test_fallback_rows_are_the_tied_ones(self):
+        # a 2x2 grid ties exactly when both paths cost the same
+        C = np.array([[1.0, 5.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [3.0, 1.0, 2.0, 0.0]])
+        audit = OracleAudit()
+        solve_batch(GridShortestPath(2, 2), C, audit)
+        assert (audit.solve_count, audit.fallback_count) == (3, 2)
+
+    @pytest.mark.parametrize("row", [
+        [0.2, 0.7, 0.2, 0.2, 0.2, 0.7],
+        [0.3, 0.7, 0.1, 0.3, 0.1, 0.7, 0.3, 0.1, 0.2, 0.2]], ids=["tsp4", "tsp5"])
+    def test_closing_tie_between_two_tours_falls_back(self, row):
+        # two different tours close at exactly the same cost, while rounding
+        # keeps every DP state's ways in apart: only the closing rule sees it
+        inst = DenseTSP(4 if len(row) == 6 else 5)
+        audit = OracleAudit()
+        X = solve_batch(inst, np.array([row]), audit)
+        assert X[0].tobytes() == solve(inst, row).tobytes()
+        assert audit.fallback_count == 1
+
+    def test_blocks_match_one_block(self, monkeypatch):
+        import dflkit.oracles as oracles
+
+        inst = DenseTSP(6)
+        C = cost_rows(inst, "normal")
+        whole = solve_batch(inst, C)
+        monkeypatch.setattr(oracles, "BATCH_TABLE_ENTRIES", inst.row_table_entries * 7)
+        assert solve_batch(inst, C).tobytes() == whole.tobytes()
+
+
+class TestBatchEdges:
+    @pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
+    def test_one_row(self, inst):
+        c = np.random.default_rng(3).normal(size=inst.n)
+        X = solve_batch(inst, c[None])
+        assert X.shape == (1, inst.n)
+        assert X[0].tobytes() == solve(inst, c).tobytes()
+
+    @pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
+    def test_zero_rows(self, inst):
+        audit = OracleAudit()
+        X = solve_batch(inst, np.zeros((0, inst.n)), audit)
+        assert X.shape == (0, inst.n)
+        assert (audit.solve_count, audit.fallback_count) == (0, 0)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 6), (2, 4, 1), ()])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(DimensionError):
+            solve_batch(GridShortestPath(2, 3), np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_like_solve(self, bad):
+        inst = GridShortestPath(3, 3)
+        C = np.ones((4, inst.n))
+        C[2, 5] = bad
+        with pytest.raises(ValueError, match="non-finite") as batch_err:
+            solve_batch(inst, C)
+        with pytest.raises(ValueError) as row_err:
+            solve(inst, C[2])
+        assert str(batch_err.value) == str(row_err.value)
+
+    def test_sentinel_sized_rejected_like_solve(self):
+        inst = DenseTSP(5)
+        C = np.ones((3, inst.n))
+        C[1, 0] = BIG_CUTOFF / inst.n
+        with pytest.raises(ValueError, match="sentinel") as batch_err:
+            solve_batch(inst, C)
+        with pytest.raises(ValueError) as row_err:
+            solve(inst, C[1])
+        assert str(batch_err.value) == str(row_err.value)
+
+    def test_tsp_node_cap_applies(self):
+        inst = DenseTSP(DenseTSP.SOLVE_MAX_NODES + 1)
+        with pytest.raises(ValueError, match="capped"):
+            solve_batch(inst, np.ones((1, inst.n)))
+
+
+class TestNumpyIdentities:
+    """The byte-identity of batched training depends on these."""
+
+    def test_stacked_matvec_equals_per_sample_matvec(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            n, m, b = (int(v) for v in rng.integers(1, 60, size=3))
+            theta, Z = rng.normal(size=(n, m)), rng.normal(size=(b, m))
+            got = np.matmul(theta[None], Z[:, :, None])[:, :, 0]
+            for i in range(b):
+                assert got[i].tobytes() == (theta @ Z[i]).tobytes()
+
+    def test_axis0_sum_equals_outer_accumulation(self):
+        rng = np.random.default_rng(22)
+        for b in list(range(1, 40)) + [100, 257]:
+            n, m = (int(v) for v in rng.integers(1, 30, size=2))
+            G, Z = rng.normal(size=(b, n)), rng.normal(size=(b, m))
+            acc = np.zeros((n, m))
+            for i in range(b):
+                acc += np.outer(G[i], Z[i])
+            assert (G[:, :, None] * Z[:, None, :]).sum(axis=0).tobytes() == acc.tobytes()
+
+    def test_one_block_draw_equals_per_sample_draws(self):
+        block = RngStream(5, 9).normal((7, 3, 11))
+        one = RngStream(5, 9)
+        for i in range(7):
+            assert block[i].tobytes() == one.normal((3, 11)).tobytes()
+
+    def test_row_dot_equals_np_dot(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            n, b = (int(v) for v in rng.integers(1, 200, size=2))
+            C = rng.normal(size=(b, n))
+            X = (rng.random((b, n)) < 0.5).astype(float)
+            got = np.matmul(C[:, None, :], X[:, :, None])[:, 0, 0]
+            for i in range(b):
+                assert got[i] == float(np.dot(C[i], X[i]))
+                assert got[i] == float(np.dot(X[i], C[i]))
+
+
+class TestGradientKernels:
+    """The per-sample engines are the one-row calls of the minibatch kernels."""
+
+    def setup_method(self):
+        self.inst = GridShortestPath(3, 3)
+        params = GenParams(m=4, deg=4, noise_halfwidth=0.5, t_train=12, t_val=1,
+                           t_test=1, seed=4)
+        ds = generate_splits(self.inst, params)[0]
+        self.per_sample = build_targets(KNN(k=3, w=0.5), ds, self.inst).per_sample
+        self.xbar = np.array([st.decision_mean() for st in self.per_sample])
+        self.ref = np.array([st.ref_cost for st in self.per_sample])
+        self.chat = np.random.default_rng(8).normal(size=self.xbar.shape)
+
+    def test_spo_plus_rows(self):
+        audit = OracleAudit()
+        G = spo_plus_batch_gradient(self.xbar, self.ref, self.chat, self.inst, audit)
+        assert audit.solve_count == len(self.chat)
+        for st, chat, g in zip(self.per_sample, self.chat, G):
+            assert spo_plus_gradient(st, chat, self.inst).tobytes() == g.tobytes()
+
+    def test_pfyl_rows_draw_in_sample_order(self):
+        audit = OracleAudit()
+        G = pfyl_batch_gradient(self.xbar, self.chat, self.inst, 3, 0.8,
+                                RngStream(2, 5), audit)
+        assert audit.solve_count == 3 * len(self.chat)
+        stream = RngStream(2, 5)
+        for st, chat, g in zip(self.per_sample, self.chat, G):
+            assert pfyl_gradient(st, chat, self.inst, 3, 0.8, stream).tobytes() == g.tobytes()

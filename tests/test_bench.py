@@ -211,6 +211,54 @@ class TestSweepConfig:
             SweepConfig.from_dict(d)
 
 
+class TestSweepPreflight:
+    """A config that cannot run fails before any cell generates data."""
+
+    def run_unrunnable(self, monkeypatch, **changes):
+        import dflkit.bench as bench
+
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a cell ran before the config was checked")
+
+        monkeypatch.setattr(bench, "generate_splits", no_cells)
+        d = {**MINIMAL_SWEEP, "methods": ["spo+", "mse"],
+             "policies": [{"kind": "empirical"}], **changes}
+        return run_sweep(SweepConfig.from_dict(d))
+
+    def test_t_without_epochs_entry(self, monkeypatch):
+        with pytest.raises(ValueError, match="epochs_by_t has no entry for t=6"):
+            self.run_unrunnable(monkeypatch, problems=[
+                {"kind": "grid", "v": 2, "h": 2, "t_values": [8, 6]}])
+
+    def test_problem_without_kind(self, monkeypatch):
+        with pytest.raises(ValueError, match=r"problems\[1\] has no field 'kind'"):
+            self.run_unrunnable(monkeypatch, problems=[
+                {"kind": "grid", "v": 2, "h": 2}, {"v": 2, "h": 2}])
+
+    def test_problem_without_size(self, monkeypatch):
+        with pytest.raises(ValueError, match=r"problems\[0\] has no field 'nodes'"):
+            self.run_unrunnable(monkeypatch, problems=[{"kind": "tsp"}])
+
+    def test_unknown_method(self, monkeypatch):
+        with pytest.raises(ValueError, match="methods: unknown method 'spo'"):
+            self.run_unrunnable(monkeypatch, methods=["mse", "spo"])
+
+    def test_policy_without_field(self, monkeypatch):
+        with pytest.raises(ValueError, match=r"policies\[1\] has no field 'k'"):
+            self.run_unrunnable(monkeypatch, policies=[{"kind": "empirical"},
+                                                       {"kind": "topk"}])
+
+    def test_unknown_policy_kind(self, monkeypatch):
+        with pytest.raises(ValueError, match="unknown policy kind: 'best'"):
+            self.run_unrunnable(monkeypatch, policies=[{"kind": "best"}])
+
+    def test_policies_unused_by_mse_only_sweep(self):
+        d = {**MINIMAL_SWEEP, "policies": [{"kind": "topk"}], "features": 2,
+             "degree": 2, "val_size": 4, "test_size": 6}
+        rows = run_sweep(SweepConfig.from_dict(d))
+        assert rows[0]["status"] == "ok"
+
+
 class TestRunSweep:
     def test_default_config_parses(self):
         from dflkit.bench import default_sweep_config

@@ -219,6 +219,19 @@ class TestErrorHandling:
         assert rc == 1
         assert "sweep config: missing field 'problems'" in capsys.readouterr().err
 
+    def test_sweep_config_checked_before_cells(self, tmp_path, capsys):
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps({
+            "problems": [{"kind": "grid", "v": 2, "h": 2}], "t_values": [6],
+            "noise_values": [0.5], "methods": ["mse"], "policies": [], "seeds": [0],
+            "epochs_by_t": {"8": 1}}))
+        out = tmp_path / "r.csv"
+        rc = main(["sweep", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: sweep config: epochs_by_t has no entry for t=6\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("field", ["theta", "bias"])
     def test_model_missing_field(self, small_data, tmp_path, capsys, field):
         model = tmp_path / "model.json"

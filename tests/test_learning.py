@@ -33,15 +33,16 @@ def single_targets(policy, c, inst):
 class TestPredict:
     def test_identity(self):
         p = LinearPredictor(theta=np.eye(2))
-        assert np.array_equal(p.predict([3.0, 4.0]), [3.0, 4.0])
+        assert np.array_equal(p.predict_batch(np.array([[3.0, 4.0]])), [[3.0, 4.0]])
 
     def test_zero(self):
         p = LinearPredictor(theta=np.zeros((3, 2)))
-        assert np.array_equal(p.predict([1.0, 2.0]), np.zeros(3))
+        assert np.array_equal(p.predict_batch(np.array([[1.0, 2.0]])), np.zeros((1, 3)))
 
     def test_hand(self):
         p = LinearPredictor(theta=np.array([[1.0, 1.0], [1.0, -1.0]]))
-        assert np.array_equal(p.predict([2.0, 1.0]), [3.0, 1.0])
+        assert np.array_equal(p.predict_batch(np.array([[2.0, 1.0], [0.0, 1.0]])),
+                              [[3.0, 1.0], [1.0, -1.0]])
 
 
 class TestMseGradient:

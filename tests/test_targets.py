@@ -5,8 +5,8 @@ from dflkit.core import Dataset, DatasetMeta
 from dflkit.oracles import (GridShortestPath, OracleAudit, SelectOne,
                             UncertaintyParams, is_feasible, solve)
 from dflkit.targets import (Empirical, KNN, RobustOpt, SampleTargets, TopK,
-                            build_targets, knn_neighbors, load_targets,
-                            policy_from_dict, policy_to_dict, save_targets)
+                            build_targets, knn_neighbors, policy_from_dict,
+                            policy_to_dict)
 
 
 def make_ds(features, costs, problem="select", instance=None):
@@ -144,26 +144,6 @@ class TestBuildTargets:
         for i, st in enumerate(ts.per_sample):
             others = np.delete(costs, i, axis=0)
             assert np.allclose(st.costs.mean(axis=0), others.mean(axis=0))
-
-
-class TestTargetCache:
-    def test_roundtrip_and_hash_guard(self, tmp_path):
-        inst = SelectOne(3)
-        rng = np.random.default_rng(13)
-        ds = make_ds(rng.normal(size=(4, 2)), rng.normal(size=(4, 3)))
-        ts = build_targets(KNN(k=2, w=0.5), ds, inst)
-        path = tmp_path / "targets.json"
-        save_targets(ts, path, ds)
-        back = load_targets(path, ds)
-        assert back.policy == ts.policy
-        assert back.precompute_solves == ts.precompute_solves
-        for a, b in zip(ts.per_sample, back.per_sample):
-            assert np.array_equal(a.costs, b.costs)
-            assert np.array_equal(a.decisions, b.decisions)
-            assert np.array_equal(a.ref_cost, b.ref_cost)
-        other = make_ds(rng.normal(size=(4, 2)), rng.normal(size=(4, 3)))
-        with pytest.raises(ValueError):
-            load_targets(path, other)
 
 
 class TestPolicyFromDict:
