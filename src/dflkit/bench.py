@@ -5,14 +5,16 @@ Normalized regret over a split is ``100 * sum(regret_i) / (sum |c_i^T x*(c_i)| +
 computed by the regret kernel in :mod:`dflkit.learning`.  A split whose
 optimal objectives sum to zero is flagged rather than dropped.
 
-The sweep runner regenerates data per seed (fresh mixing matrix), trains one
-model per (problem, t, noise, method, policy, seed) cell, and pairs each
-robust policy against its empirical counterpart within the same method using
-a two-sided paired Student t-test.
+The sweep runner builds every (problem, t, noise, method, policy, seed) cell
+before any runs, then per cell regenerates data (fresh mixing matrix per
+seed) and trains one model.  It pairs each robust policy against its
+empirical counterpart within the same method using a two-sided paired
+Student t-test.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import MISSING, dataclass, fields
@@ -25,8 +27,7 @@ from .core import (Dataset, DimensionError, RngStream, STREAM_BIAS_DEMO,
 from .datagen import GenParams, generate_splits
 from .learning import METHODS, TrainConfig, decision_regret, normalized_regret_pct, train
 from .oracles import DenseTSP, GridShortestPath, OracleAudit
-from .targets import (Empirical, TargetPolicy, build_targets, policy_from_dict,
-                      policy_label)
+from .targets import Empirical, build_targets, policy_from_dict, policy_label
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +244,14 @@ class SweepConfig:
     policies: Tuple[dict, ...]
     seeds: Tuple[int, ...]
     epochs_by_t: Dict[int, int]
-    features: int = 5
-    degree: int = 6
-    val_size: int = 100
-    test_size: int = 1000
-    batch_size: int = 32
-    lr: float = 0.01
-    pfyl_samples: int = 1
-    pfyl_sigma: float = 1.0
+    features: int = GenParams.m
+    degree: int = GenParams.deg
+    val_size: int = GenParams.t_val
+    test_size: int = GenParams.t_test
+    batch_size: int = TrainConfig.batch_size
+    lr: float = TrainConfig.lr
+    pfyl_samples: int = TrainConfig.pfyl_samples
+    pfyl_sigma: float = TrainConfig.pfyl_sigma
     alpha: float = 0.05
     instance_seed: int = 0
 
@@ -318,92 +319,85 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _run_one(inst, t: int, noise: float, method: str, policy: Optional[TargetPolicy],
-             seed: int, cfg: SweepConfig) -> dict:
-    params = GenParams(m=cfg.features, deg=cfg.degree, noise_halfwidth=noise,
-                       t_train=t, t_val=cfg.val_size, t_test=cfg.test_size,
-                       seed=seed)
-    train_ds, val_ds, test_ds = generate_splits(inst, params)
-    targets = None if method == "mse" else build_targets(policy, train_ds, inst)
-    tc = TrainConfig(method=method, policy=policy,
-                     epochs=cfg.epochs_by_t[t], batch_size=cfg.batch_size,
-                     lr=cfg.lr, seed=seed, pfyl_samples=cfg.pfyl_samples,
-                     pfyl_sigma=cfg.pfyl_sigma)
-    model = train(tc, train_ds, val_ds, inst, targets)
-    pred = model.predictor.predict_batch(test_ds.features)
-    report = eval_regret(pred, test_ds, inst, split="test")
-    expected = eval_expected_regret(pred, test_ds, inst)
-    return {
-        "test_regret_pct": report.normalized_regret_pct,
-        "test_expected_regret_pct": expected,
-        "precompute_solves": model.audit.precompute,
-        "gradient_solves": model.audit.gradient,
-        "eval_solves": model.audit.evaluation,
-    }
+def _parse_entry(where: str, build, entry, arg):
+    """``build(entry, arg)``, re-raising a bad entry as a ``ValueError``
+    that names ``where`` (``problems[i]`` or ``policies[j]``)."""
+    try:
+        return build(entry, arg)
+    except KeyError as exc:
+        raise ValueError(f"sweep config: {where} has no field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"sweep config: {where}: {exc}") from None
 
 
-def _check_sweep(cfg: SweepConfig) -> list:
-    """Check every field a cell reads before any cell runs: every problem
-    builds, every ``t`` has an ``epochs_by_t`` entry, every method is known
-    and every policy a method uses parses.  Raises a ``ValueError`` naming
-    the field; returns the problems' instances."""
+def sweep_cells(cfg: SweepConfig) -> List[Tuple[object, GenParams, TrainConfig]]:
+    """Every detail cell as ``(instance, GenParams, TrainConfig)``, in run
+    order: problem, t, noise, method, policy, seed.  Building a cell runs
+    every check its objects make, so a config that cannot run raises a
+    ``ValueError`` starting ``sweep config:`` before any cell runs.  An
+    mse-only sweep never parses its policies."""
     for method in cfg.methods:
         if method not in METHODS:
             raise ValueError(f"sweep config: methods: unknown method {method!r}")
-    instances = []
+    uses_policies = any(method != "mse" for method in cfg.methods)
+    cells = []
     for i, problem in enumerate(cfg.problems):
-        try:
-            inst = build_instance(problem, cfg.instance_seed)
-        except KeyError as exc:
-            raise ValueError(
-                f"sweep config: problems[{i}] has no field {exc.args[0]!r}") from None
-        for t in problem.get("t_values", cfg.t_values):
+        inst = _parse_entry(f"problems[{i}]", build_instance, problem, cfg.instance_seed)
+        policies = [_parse_entry(f"policies[{j}]", policy_from_dict, entry, inst.n)
+                    for j, entry in enumerate(cfg.policies) if uses_policies]
+        runs = [(method, policy) for method in cfg.methods
+                for policy in ([None] if method == "mse" else policies)]
+        for t, noise, (method, policy), seed in itertools.product(
+                problem.get("t_values", cfg.t_values), cfg.noise_values, runs, cfg.seeds):
             if t not in cfg.epochs_by_t:
                 raise ValueError(f"sweep config: epochs_by_t has no entry for t={t}")
-        if any(method != "mse" for method in cfg.methods):
-            for j, entry in enumerate(cfg.policies):
-                try:
-                    policy_from_dict(entry, inst.n)
-                except KeyError as exc:
-                    raise ValueError(f"sweep config: policies[{j}] has no field "
-                                     f"{exc.args[0]!r}") from None
-        instances.append(inst)
-    return instances
+            try:
+                params = GenParams(m=cfg.features, deg=cfg.degree, noise_halfwidth=noise,
+                                   t_train=t, t_val=cfg.val_size, t_test=cfg.test_size,
+                                   seed=seed)
+                tc = TrainConfig(method=method, policy=policy, epochs=cfg.epochs_by_t[t],
+                                 batch_size=cfg.batch_size, lr=cfg.lr, seed=seed,
+                                 pfyl_samples=cfg.pfyl_samples, pfyl_sigma=cfg.pfyl_sigma)
+            except ValueError as exc:
+                raise ValueError(f"sweep config: {exc}") from None
+            cells.append((inst, params, tc))
+    return cells
+
+
+def run_cell(cell: Tuple[object, GenParams, TrainConfig]) -> dict:
+    """One detail row: generate the cell's data, train, and score the test
+    split.  A failure is recorded in ``status``."""
+    inst, params, tc = cell
+    row = {k: "" for k in SWEEP_COLUMNS}
+    row.update(row_type="detail", problem=inst.descriptor(), t=params.t_train,
+               noise=params.noise_halfwidth, method=tc.method,
+               policy="mse" if tc.policy is None else policy_label(tc.policy),
+               seed=params.seed)
+    start = time.perf_counter()
+    try:
+        train_ds, val_ds, test_ds = generate_splits(inst, params)
+        targets = None if tc.method == "mse" else build_targets(tc.policy, train_ds, inst)
+        model = train(tc, train_ds, val_ds, inst, targets)
+        pred = model.predictor.predict_batch(test_ds.features)
+        row.update(
+            test_regret_pct=eval_regret(pred, test_ds, inst).normalized_regret_pct,
+            test_expected_regret_pct=eval_expected_regret(pred, test_ds, inst),
+            precompute_solves=model.audit.precompute,
+            gradient_solves=model.audit.gradient,
+            eval_solves=model.audit.evaluation,
+            status="ok")
+    except Exception as exc:  # recorded, sweep continues
+        row["status"] = f"error: {exc}"
+    row["wall_time_s"] = time.perf_counter() - start
+    return row
 
 
 def run_sweep(cfg: SweepConfig) -> List[dict]:
     """Run the full experiment grid; returns detail rows followed by one
-    aggregate row per cell.  The config is checked up front (see
-    ``_check_sweep``); individual run failures are recorded in the
+    aggregate row per cell.  Every cell is built before any runs (see
+    ``sweep_cells``); individual run failures are recorded in the
     ``status`` column and the sweep continues."""
-    detail_rows: List[dict] = []
-    for problem, inst in zip(cfg.problems, _check_sweep(cfg)):
-        label = inst.descriptor()
-        for t in problem.get("t_values", cfg.t_values):
-            for noise in cfg.noise_values:
-                for method in cfg.methods:
-                    policy_entries = ([{"kind": "mse"}] if method == "mse"
-                                      else list(cfg.policies))
-                    for entry in policy_entries:
-                        if method == "mse":
-                            policy, plabel = None, "mse"
-                        else:
-                            policy = policy_from_dict(entry, inst.n)
-                            plabel = policy_label(policy)
-                        for seed in cfg.seeds:
-                            row = {k: "" for k in SWEEP_COLUMNS}
-                            row.update(row_type="detail", problem=label, t=t,
-                                       noise=noise, method=method, policy=plabel,
-                                       seed=seed)
-                            start = time.perf_counter()
-                            try:
-                                row.update(_run_one(inst, t, noise, method,
-                                                    policy, seed, cfg))
-                                row["status"] = "ok"
-                            except Exception as exc:  # recorded, sweep continues
-                                row["status"] = f"error: {exc}"
-                            row["wall_time_s"] = time.perf_counter() - start
-                            detail_rows.append(row)
+    detail_rows = [run_cell(cell) for cell in sweep_cells(cfg)]
 
     aggregate_rows: List[dict] = []
     groups: Dict[tuple, List[dict]] = {}

@@ -30,13 +30,13 @@ def _add_datagen(sub):
     p.add_argument("--problem", choices=["grid", "tsp"], required=True)
     p.add_argument("--grid", default="5x5", help="VxH for grid problems")
     p.add_argument("--nodes", type=int, default=8, help="node count for tsp problems")
-    p.add_argument("--features", type=int, default=5)
-    p.add_argument("--deg", type=int, default=6)
-    p.add_argument("--noise", type=float, default=0.5)
-    p.add_argument("--train", type=int, default=100)
-    p.add_argument("--val", type=int, default=100)
-    p.add_argument("--test", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--features", type=int, default=GenParams.m)
+    p.add_argument("--deg", type=int, default=GenParams.deg)
+    p.add_argument("--noise", type=float, default=GenParams.noise_halfwidth)
+    p.add_argument("--train", type=int, default=GenParams.t_train)
+    p.add_argument("--val", type=int, default=GenParams.t_val)
+    p.add_argument("--test", type=int, default=GenParams.t_test)
+    p.add_argument("--seed", type=int, default=GenParams.seed)
     p.add_argument("--noise-shared", action="store_true",
                    help="one noise factor per sample instead of per coefficient")
     p.add_argument("--out", required=True)
@@ -67,12 +67,12 @@ def _add_train(sub):
     p.add_argument("--rho", type=float, default=0.5)
     p.add_argument("--gamma-frac", type=float, default=0.125,
                    help="total deviation budget as a fraction of n")
-    p.add_argument("--pfyl-m", type=int, default=1)
-    p.add_argument("--pfyl-sigma", type=float, default=1.0)
+    p.add_argument("--pfyl-m", type=int, default=TrainConfig.pfyl_samples)
+    p.add_argument("--pfyl-sigma", type=float, default=TrainConfig.pfyl_sigma)
     p.add_argument("--epochs", type=int, required=True)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--out", required=True)
 
 
@@ -159,7 +159,7 @@ def _add_bias_demo(sub):
     p.add_argument("--sigma-h", type=float, required=True)
     p.add_argument("--sigma-l", type=float, required=True)
     p.add_argument("--trials", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=BiasDemoConfig.seed)
     p.add_argument("--out", default=None, help="optional JSON output path")
 
 

@@ -52,9 +52,12 @@ class RngStream:
       ``z = sqrt(-2 ln(1 - u1)) * cos(2 pi u2)``; the sine mate is discarded.
       Array draws consume pairs in row-major element order, so drawing ``k``
       normals one at a time equals one ``normal(k)`` call.
-    * ``bernoulli(p)`` consumes one raw double ``u`` and returns ``u < p``.
-    * ``permutation(count)`` runs a Fisher-Yates pass consuming
-      ``count - 1`` raw doubles.
+    * ``bernoulli_array(p, size)`` consumes one raw double ``u`` per element,
+      in row-major order, and returns ``u < p`` as 0.0/1.0.
+    * ``permutation(count)`` consumes ``count - 1`` raw doubles
+      ``u_1 .. u_{count-1}`` and runs a Fisher-Yates pass: for
+      ``i = count - 1 .. 1`` it swaps slot ``i`` with slot
+      ``floor(u_{count-i} * (i + 1))``.
 
     A stream is single-owner: never share one instance across workers.
     """
@@ -89,11 +92,6 @@ class RngStream:
         z = np.sqrt(-2.0 * np.log(1.0 - u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
         return z.reshape(shape)
 
-    def bernoulli(self, p: float) -> int:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"bernoulli probability out of range: {p}")
-        return int(self._gen.random() < p)
-
     def bernoulli_array(self, p: float, size) -> np.ndarray:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"bernoulli probability out of range: {p}")
@@ -102,8 +100,9 @@ class RngStream:
     def permutation(self, count: int) -> np.ndarray:
         """Fisher-Yates permutation of ``range(count)`` using uniform draws."""
         idx = np.arange(count)
-        for i in range(count - 1, 0, -1):
-            j = int(self._gen.random() * (i + 1))
+        draws = self._gen.random(max(count - 1, 0)).tolist()
+        for i, u in zip(range(count - 1, 0, -1), draws):
+            j = int(u * (i + 1))
             idx[i], idx[j] = idx[j], idx[i]
         return idx
 

@@ -48,6 +48,8 @@ class GenParams:
             raise ValueError("noise half-width must be non-negative")
         if self.m < 1:
             raise ValueError("need at least one feature")
+        if min(self.t_train, self.t_val, self.t_test) < 1:
+            raise ValueError("need at least one sample in each split")
 
 
 @dataclass(frozen=True)

@@ -206,8 +206,10 @@ class TrainConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.policy is None and self.method != "mse":
             raise ValueError(f"method {self.method!r} needs a target policy")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("bad epochs/batch_size")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be non-negative, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.pfyl_samples < 1:
             raise ValueError(
                 f"pfyl_samples must be at least 1, got {self.pfyl_samples}")

@@ -404,7 +404,7 @@ class DenseTSP:
     direction independent.  ``solve`` accepts up to 16 nodes, ``top_k`` up to
     10 (exhaustive canonical-tour enumeration); both caps keep exactness at
     desk scale.  ``coords`` are optional planar coordinates used only for the
-    instance descriptor and distance-based cost helpers.
+    instance descriptor.
     """
 
     kind = "tsp"
@@ -441,13 +441,6 @@ class DenseTSP:
             return f"tsp:{self.n_nodes}"
         pts = ";".join(f"{x:.6f},{y:.6f}" for x, y in self.coords)
         return f"tsp:{self.n_nodes},coords={pts}"
-
-    def distance_costs(self) -> np.ndarray:
-        if self.coords is None:
-            raise ValueError("instance has no coordinates")
-        return np.array([
-            math.dist(self.coords[i], self.coords[j]) for i, j in self._pairs
-        ])
 
     def _matrix(self, costs: np.ndarray) -> List[List[float]]:
         nn = self.n_nodes

@@ -252,6 +252,31 @@ class TestSweepPreflight:
         with pytest.raises(ValueError, match="unknown policy kind: 'best'"):
             self.run_unrunnable(monkeypatch, policies=[{"kind": "best"}])
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"epochs_by_t": {"8": -1}}, "epochs must be non-negative, got -1"),
+        ({"batch_size": 0}, "batch_size must be at least 1, got 0"),
+        ({"methods": ["pfyl"], "pfyl_samples": 0}, "pfyl_samples must be at least 1"),
+        ({"test_size": 0}, "need at least one sample in each split"),
+        ({"features": 0}, "need at least one feature"),
+        ({"degree": 0}, "polynomial degree must be at least 1"),
+        ({"noise_values": [0.5, -1.0]}, "noise half-width must be non-negative"),
+        ({"problems": [{"kind": "grid", "v": 1, "h": 2}]},
+         r"problems\[0\]: grid needs at least 2 rows"),
+        ({"problems": [{"kind": "grid", "v": 2, "h": 2}, {"kind": "ring"}]},
+         r"problems\[1\]: unknown problem kind 'ring'"),
+        ({"policies": [{"kind": "topk", "k": 0}]}, r"policies\[0\]: k must be at least 1"),
+        ({"policies": [{"kind": "empirical"}, {"kind": "knn", "k": 2, "w": 2}]},
+         r"policies\[1\]: interpolation weight must lie in \[0, 1\]"),
+        ({"policies": [{"kind": "ro", "rho": -1, "gamma": 1}]},
+         r"policies\[0\]: uncertainty parameters must be non-negative"),
+        ({"policies": [{"kind": "topk", "k": "x"}]},
+         r"policies\[0\]: invalid literal for int\(\)"),
+    ], ids=["epochs", "batch_size", "pfyl_samples", "test_size", "features", "degree",
+            "noise", "grid_v", "problem_kind", "topk_k", "knn_w", "ro_rho", "k_not_int"])
+    def test_unrunnable_value(self, monkeypatch, changes, message):
+        with pytest.raises(ValueError, match="^sweep config: " + message):
+            self.run_unrunnable(monkeypatch, **changes)
+
     def test_policies_unused_by_mse_only_sweep(self):
         d = {**MINIMAL_SWEEP, "policies": [{"kind": "topk"}], "features": 2,
              "degree": 2, "val_size": 4, "test_size": 6}
@@ -310,6 +335,26 @@ class TestRunSweep:
             return [[col for i, col in enumerate(row) if i != drop] for row in rows]
 
         assert strip_wall(p1) == strip_wall(p2)
+
+    def test_detail_row_order(self):
+        rows = run_sweep(SweepConfig.from_dict({
+            "problems": [{"kind": "grid", "v": 2, "h": 2, "t_values": [8, 6]},
+                         {"kind": "grid", "v": 2, "h": 3}],
+            "t_values": [8], "noise_values": [0.0, 0.5], "methods": ["spo+", "mse"],
+            "policies": [{"kind": "empirical"}, {"kind": "topk", "k": 2}],
+            "seeds": [1, 0], "epochs_by_t": {"8": 1, "6": 1}, "features": 2,
+            "degree": 2, "val_size": 4, "test_size": 6}))
+        detail = [r for r in rows if r["row_type"] == "detail"]
+        assert all(r["status"] == "ok" for r in detail)
+        expected = [(problem, t, noise, method, policy, seed)
+                    for problem, t_values in (("grid:2x2", (8, 6)), ("grid:2x3", (8,)))
+                    for t in t_values
+                    for noise in (0.0, 0.5)
+                    for method, policy in (("spo+", "emp"), ("spo+", "topk(k=2)"),
+                                           ("mse", "mse"))
+                    for seed in (1, 0)]
+        assert [(r["problem"], r["t"], r["noise"], r["method"], r["policy"], r["seed"])
+                for r in detail] == expected
 
     def test_gamma_frac_entry_parsed_with_n(self):
         rows = run_sweep(SweepConfig.from_dict({

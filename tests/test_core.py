@@ -12,8 +12,10 @@ class TestRngStream:
     def test_same_key_same_sequence(self):
         s1 = RngStream(123, 4)
         s2 = RngStream(123, 4)
-        seq1 = [s1.uniform(), s1.normal(), s1.bernoulli(0.5), s1.uniform(-2, 5)]
-        seq2 = [s2.uniform(), s2.normal(), s2.bernoulli(0.5), s2.uniform(-2, 5)]
+        seq1 = [s1.uniform(), s1.normal(), s1.bernoulli_array(0.5, 3).tolist(),
+                s1.uniform(-2, 5)]
+        seq2 = [s2.uniform(), s2.normal(), s2.bernoulli_array(0.5, 3).tolist(),
+                s2.uniform(-2, 5)]
         assert seq1 == seq2
 
     def test_distinct_streams_differ(self):
@@ -47,16 +49,28 @@ class TestRngStream:
 
     def test_bernoulli_edges(self):
         s = RngStream(1)
-        assert all(s.bernoulli(1.0) == 1 for _ in range(20))
-        assert all(s.bernoulli(0.0) == 0 for _ in range(20))
+        assert np.array_equal(s.bernoulli_array(1.0, (4, 5)), np.ones((4, 5)))
+        assert np.array_equal(s.bernoulli_array(0.0, 20), np.zeros(20))
         with pytest.raises(ValueError):
-            s.bernoulli(1.5)
+            s.bernoulli_array(1.5, 1)
 
     def test_permutation(self):
         s = RngStream(3)
         p = s.permutation(50)
         assert sorted(p.tolist()) == list(range(50))
         assert np.array_equal(RngStream(3).permutation(50), RngStream(3).permutation(50))
+
+    def test_permutation_draw_contract(self):
+        # Reference: one Generator.random() per Fisher-Yates step.
+        gen = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(entropy=11, spawn_key=(4,))))
+        expected = list(range(50))
+        for i in range(49, 0, -1):
+            j = int(gen.random() * (i + 1))
+            expected[i], expected[j] = expected[j], expected[i]
+        s = RngStream(11, 4)
+        assert s.permutation(50).tolist() == expected
+        assert s.uniform() == gen.random()
 
     def test_cross_process_reproducibility(self):
         code = (
