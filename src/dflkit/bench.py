@@ -334,21 +334,29 @@ def sweep_cells(cfg: SweepConfig) -> List[Tuple[object, GenParams, TrainConfig]]
     """Every detail cell as ``(instance, GenParams, TrainConfig)``, in run
     order: problem, t, noise, method, policy, seed.  Building a cell runs
     every check its objects make, so a config that cannot run raises a
-    ``ValueError`` starting ``sweep config:`` before any cell runs.  An
-    mse-only sweep never parses its policies."""
+    ``ValueError`` starting ``sweep config:`` before any cell runs; so does
+    an empty list that would leave the sweep without cells.  An mse-only
+    sweep never parses its policies."""
     for method in cfg.methods:
         if method not in METHODS:
             raise ValueError(f"sweep config: methods: unknown method {method!r}")
     uses_policies = any(method != "mse" for method in cfg.methods)
+    for name in ("problems", "noise_values", "methods", "seeds", "policies"):
+        if not getattr(cfg, name) and (name != "policies" or uses_policies):
+            raise ValueError(f"sweep config: {name} is empty")
     cells = []
     for i, problem in enumerate(cfg.problems):
         inst = _parse_entry(f"problems[{i}]", build_instance, problem, cfg.instance_seed)
+        t_values = problem.get("t_values", cfg.t_values)
+        if not t_values:
+            where = f"problems[{i}].t_values" if "t_values" in problem else "t_values"
+            raise ValueError(f"sweep config: {where} is empty")
         policies = [_parse_entry(f"policies[{j}]", policy_from_dict, entry, inst.n)
                     for j, entry in enumerate(cfg.policies) if uses_policies]
         runs = [(method, policy) for method in cfg.methods
                 for policy in ([None] if method == "mse" else policies)]
         for t, noise, (method, policy), seed in itertools.product(
-                problem.get("t_values", cfg.t_values), cfg.noise_values, runs, cfg.seeds):
+                t_values, cfg.noise_values, runs, cfg.seeds):
             if t not in cfg.epochs_by_t:
                 raise ValueError(f"sweep config: epochs_by_t has no entry for t={t}")
             try:

@@ -80,6 +80,9 @@ def _cmd_train(args) -> int:
     data = Path(args.data)
     train_ds = load_dataset(data / "train")
     val_ds = load_dataset(data / "val")
+    if val_ds.meta.instance != train_ds.meta.instance:
+        raise ValueError(f"val split instance {val_ds.meta.instance!r} differs from "
+                         f"train split instance {train_ds.meta.instance!r}")
     inst = instance_from_descriptor(train_ds.meta.instance)
     method = "mse" if args.method == "pfl" else args.method
     policy = policy_from_dict(

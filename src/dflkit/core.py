@@ -136,18 +136,20 @@ class DatasetMeta:
 
     @staticmethod
     def from_dict(d: dict) -> "DatasetMeta":
+        """Inverse of :meth:`to_dict`.  Raises ``KeyError`` for a missing
+        field and ``ValueError`` naming a field that does not convert."""
+        def field(name, kind, *default):
+            raw = d.get(name, *default) if default else d[name]
+            try:
+                return kind(raw)
+            except (TypeError, ValueError):
+                raise ValueError(f"field {name!r} is {raw!r}, not {kind.__name__}") from None
+
         return DatasetMeta(
-            problem=str(d["problem"]),
-            instance=str(d["instance"]),
-            m=int(d["m"]),
-            n=int(d["n"]),
-            t=int(d["t"]),
-            seed=int(d["seed"]),
-            noise_halfwidth=float(d["noise_halfwidth"]),
-            degree=int(d["degree"]),
-            split=str(d.get("split", "")),
-            noise_shared=bool(d.get("noise_shared", False)),
-        )
+            problem=field("problem", str), instance=field("instance", str),
+            m=field("m", int), n=field("n", int), t=field("t", int), seed=field("seed", int),
+            noise_halfwidth=field("noise_halfwidth", float), degree=field("degree", int),
+            split=field("split", str, ""), noise_shared=field("noise_shared", bool, False))
 
 
 def _frozen_matrix(values, rows: int, cols: int, name: str) -> np.ndarray:

@@ -143,7 +143,14 @@ def _read_matrix(path: Path, header_prefix: str, rows: int, cols: int) -> np.nda
         expected = [f"{header_prefix}_{j}" for j in range(cols)]
         if header != expected:
             raise ValueError(f"{path.name}: unexpected header {header[:3]}...")
-        data = [[float(x) for x in row] for row in reader]
+        data = []
+        for line, row in enumerate(reader, start=2):
+            try:
+                if len(row) != cols:
+                    raise ValueError(f"{len(row)} values, header has {cols}")
+                data.append([float(x) for x in row])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line}: {exc}") from None
     arr = np.array(data, dtype=np.float64)
     if arr.shape != (rows, cols):
         raise DimensionError(
@@ -169,10 +176,14 @@ def load_dataset(directory) -> Dataset:
         raise FileNotFoundError(f"no meta.json under {directory}")
     with open(meta_path) as fh:
         fields = json.load(fh)
+    if not isinstance(fields, dict):
+        raise ValueError(f"{meta_path}: expected a JSON object, got {type(fields).__name__}")
     try:
         meta = DatasetMeta.from_dict(fields)
     except KeyError as exc:
         raise ValueError(f"{meta_path}: missing field {exc.args[0]!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"{meta_path}: {exc}") from None
     features = _read_matrix(directory / "features.csv", "z", meta.t, meta.m)
     costs = _read_matrix(directory / "costs.csv", "c", meta.t, meta.n)
     clean_path = directory / "clean_costs.csv"

@@ -15,23 +15,22 @@ decisions, return the one whose sorted list of used variable indices is
 lexicographically smallest, i.e. the decision that prefers low-numbered
 variables.  All feasible decisions of one instance use the same number of
 variables, so this order is total.  "Equal cost" means exact equality of
-the float64 sums the solver forms, with no tolerance: the dynamic programs
-compare two ways into a state by their summed costs and break an exact tie
-there by the supports, so wherever those sums are exact (integer or dyadic
-costs, for instance) the result is the rule above in exact arithmetic.
+the float64 sums the solver forms, with no tolerance, so wherever those sums
+are exact (integer or dyadic costs, for instance) the result is the rule
+above in exact arithmetic.  The grid DP sums each path from the sink and
+gives an exact tie between a cell's two moves to the right move, which is
+the rule made local; on near-ties whose sums are not exact, summing from the
+sink can rank two paths differently from summing from the source.
+Held-Karp breaks an exact tie between two ways into a state by the supports.
 
 Batched solves (:func:`solve_batch`) return, row for row, exactly what
-:func:`solve` returns.  The grid DP and Held-Karp run across all rows at
-once and flag every row that meets an exact float64 tie: a DP state with two
-equal-cost ways in, or equal closing TSP edges from two different tours (a
-tour and its own reverse have the same support, so that is no tie).  Flagged
-rows are re-solved one by one by the scalar DP, which stays the only code
-that applies the tie rule; ``OracleAudit.fallback_count`` counts them.
-``SelectOne`` takes a plain ``argmin``, which keeps the smallest index.
-
-Excluded edges are modelled with a large cost sentinel rather than true
-infinity so the dynamic programs stay in ordinary float arithmetic; inputs
-large enough to be confused with the sentinel are rejected up front.
+:func:`solve` returns.  Grid rows never fall back.  Batched Held-Karp flags
+every row that meets an exact float64 tie: a DP state with two equal-cost
+ways in, or equal closing edges from two different tours (a tour and its own
+reverse have the same support, so that is no tie).  Only these TSP rows are
+re-solved by the scalar Held-Karp; ``OracleAudit.fallback_count`` counts
+them.  ``SelectOne`` takes a plain ``argmin``, which keeps the smallest
+index.  Grid Lawler k-best reads one DP per call.
 """
 
 from __future__ import annotations
@@ -47,8 +46,7 @@ import numpy as np
 
 from .core import DimensionError
 
-BIG = 1e12          # sentinel cost for excluded edges
-BIG_CUTOFF = 1e11   # any objective at or above this marks an infeasible branch
+BIG_CUTOFF = 1e11   # cost checks keep every decision's summed |cost| below this
 
 INF = math.inf
 
@@ -63,8 +61,9 @@ class OracleAudit:
 
     Incremented exactly once per nominal solve, including the nominal solves
     performed inside ``robust_solve`` and ``top_k_solve``; a batch of ``B``
-    rows counts ``B``.  ``fallback_count`` is the number of batch rows that
-    met an exact tie and were re-solved by the scalar DP.
+    rows counts ``B``, and each grid Lawler subproblem counts one.
+    ``fallback_count`` is the number of TSP batch rows that met an exact tie
+    and were re-solved by the scalar Held-Karp; grid rows never fall back.
     """
 
     def __init__(self):
@@ -157,6 +156,10 @@ class GridShortestPath:
     ``n = v(h-1) + h(v-1)`` edges; horizontal edge (r, c)->(r, c+1) has index
     ``r(h-1) + c`` and vertical edge (r, c)->(r+1, c) has index
     ``v(h-1) + r h + c``.  Negative costs are fine (the graph is a DAG).
+    Every horizontal index is below every vertical one and both rise along a
+    path, so of two paths leaving one cell, the one going right holds the
+    smallest index they do not share.  The tie rule is therefore local, and
+    one pass from the sink, :meth:`_suffix_pass`, serves every solve.
     """
 
     kind = "grid"
@@ -169,7 +172,7 @@ class GridShortestPath:
         self.n = self.v * (self.h - 1) + self.h * (self.v - 1)
         self._n_h = self.v * (self.h - 1)
         self.row_table_entries = self.v * self.h + 1  # solve_batch's per-row DP table
-        self._wave_tables = None  # index arrays, built by _batch_tables
+        self._tables = self._steps = None  # built by _pass_tables
 
     def _h_idx(self, r: int, c: int) -> int:
         return r * (self.h - 1) + c
@@ -188,184 +191,138 @@ class GridShortestPath:
     def descriptor(self) -> str:
         return f"grid:{self.v}x{self.h}"
 
+    # -- the DP ------------------------------------------------------------
+
+    def _pass_tables(self):
+        """Index arrays for :meth:`_suffix_pass`, built once.  Cells are
+        numbered by anti-diagonal from the sink (position 0) to the source
+        (``v h - 1``); ``v h`` is a pad whose cost to the sink is INF.  Key
+        ``2 p + move`` (0 right, 1 down) gives a move's edge and head
+        position; a missing move takes edge 0 to the pad.  Each wave holds
+        one anti-diagonal's positions, its moves' heads (right moves first)
+        and its slice of ``wave_edges``, the moves' edges in wave order."""
+        if self._tables is None:
+            v, h, pad = self.v, self.h, self.v * self.h
+            cells = sorted(range(pad), key=lambda cell: -sum(divmod(cell, h)))
+            pos = {cell: p for p, cell in enumerate(cells)}
+            edges, heads = [0, 0], [pad, pad]     # the sink makes no move
+            for cell in cells[1:]:
+                r, c = divmod(cell, h)
+                edges += [self._h_idx(r, c) if c + 1 < h else 0,
+                          self._v_idx(r, c) if r + 1 < v else 0]
+                heads += [pos[cell + 1] if c + 1 < h else pad,
+                          pos[cell + h] if r + 1 < v else pad]
+            waves, order, lo = [], [], 1
+            for d in range(v + h - 3, -1, -1):
+                hi = lo + min(v - 1, d) + 1 - max(0, d - h + 1)
+                keys = [*range(2 * lo, 2 * hi, 2), *range(2 * lo + 1, 2 * hi, 2)]
+                waves.append((slice(lo, hi), np.array([heads[key] for key in keys]),
+                              slice(len(order), len(order) + len(keys))))
+                order += keys
+                lo = hi
+            self._steps = (edges, heads)   # set first: a racing caller reads it
+            self._tables = (waves, np.array([edges[key] for key in order]),
+                            np.array(edges), np.array(heads))
+        return self._tables
+
+    def _suffix_pass(self, C: np.ndarray):
+        """The grid DP over every row of the ``(rows, n)`` batch ``C``:
+        ``(dist, down)``, where ``dist[p, row]`` is the cheapest cost from
+        position ``p`` to the sink, summed from the sink, and ``down[p,
+        row]`` whether that path's first move is down."""
+        waves, wave_edges, _, _ = self._pass_tables()
+        cells = self.v * self.h
+        move_costs = C.T.take(wave_edges, axis=0)   # take: far less overhead than []
+        dist = np.empty((cells + 1, C.shape[0]))
+        dist[0] = 0.0
+        dist[cells] = INF
+        down = np.zeros((cells, C.shape[0]), dtype=bool)
+        for at, heads, moves in waves:
+            cand = dist.take(heads, axis=0)
+            cand += move_costs[moves]
+            right, below = cand[:at.stop - at.start], cand[at.stop - at.start:]
+            np.less(below, right, out=down[at])   # an exact tie goes right
+            np.minimum(right, below, out=dist[at])
+        return dist, down
+
     # -- nominal solve -----------------------------------------------------
 
     def solve_nominal(self, costs: np.ndarray) -> np.ndarray:
-        # plain floats: the DP does the same IEEE arithmetic without numpy
-        # scalar overhead on every element access
-        res = self._segment_solve(costs.tolist(), None, (0, 0))
-        if res is None:
-            raise RuntimeError("grid instance unexpectedly infeasible")
-        _, edges = res
+        _, down = self._suffix_pass(costs[None])
         bits = np.zeros(self.n)
-        bits[edges] = 1.0
+        bits[self._best_path(self.v * self.h - 1, down[:, 0].tolist())] = 1.0
         return bits
 
     def solve_nominal_batch(self, C: np.ndarray):
-        """The nominal DP over every row of ``C`` at once, one anti-diagonal
-        of cells per step.  Returns ``(decisions, tied)``: ``tied`` flags the
-        rows where some cell's two ways in cost exactly the same, whose
-        decisions :func:`solve_batch` takes from :meth:`solve_nominal`."""
-        v, h, n = self.v, self.h, self.n
+        """Every row's path, read from the source after one
+        :meth:`_suffix_pass`, and ``tied``, which flags no row."""
         rows = C.shape[0]
-        pad = v * h                          # a cell index that always holds INF
-        dist = np.empty((pad + 1, rows))
-        dist[0] = 0.0
-        dist[pad] = INF
-        costs = np.empty((n + 1, rows))      # row n: a border cell's missing edge
-        costs[:n] = C.T
-        costs[n] = 0.0
-        down = np.zeros((pad, rows), dtype=bool)
-        equal = np.zeros((pad, rows), dtype=bool)
-        waves, back_cell, back_edge = self._batch_tables()
-        for cells, ins, edges in waves:
-            cand = dist[ins] + costs[edges]  # from the left, then from above
-            from_left, from_up = cand[:len(cells)], cand[len(cells):]
-            down[cells] = from_up < from_left
-            equal[cells] = from_up == from_left
-            dist[cells] = np.minimum(from_up, from_left)
-        # walk back from the sink, one edge of every row per step
-        X = np.zeros((rows, n))
+        _, down = self._suffix_pass(C)
+        _, _, edges, heads = self._pass_tables()
         idx = np.arange(rows)
-        cell = np.full(rows, pad - 1)
-        for _ in range(v + h - 2):
-            key = 2 * cell + down[cell, idx]
-            X[idx, back_edge[key]] = 1.0
-            cell = back_cell[key]
-        return X, equal.any(axis=0)
+        p = np.full(rows, self.v * self.h - 1)
+        path = np.empty((self.v + self.h - 2, rows), dtype=np.intp)
+        for step in path:
+            key = 2 * p + down.take(p * rows + idx)
+            step[:] = edges.take(key)
+            p = heads.take(key)
+        X = np.zeros((rows, self.n))
+        X[idx, path] = 1.0
+        return X, np.zeros(rows, dtype=bool)
 
-    def _batch_tables(self):
-        """Index arrays for :meth:`solve_nominal_batch`, built once.
-
-        ``waves``: per anti-diagonal ``r + c = d >= 1``, its flat cell indices
-        ``r h + c``, then the cells each is entered from (all left neighbours,
-        then all upper ones) and the edges from them.  A border cell's missing
-        neighbour is the INF pad cell ``v h`` and its missing edge is ``n``.
-        ``back_cell`` and ``back_edge``: for key ``2 * cell + down``, the cell
-        the path came from and the edge it took (impossible moves are never
-        read)."""
-        if self._wave_tables is None:
-            v, h, pad, n = self.v, self.h, self.v * self.h, self.n
-            waves = []
-            for d in range(1, v + h - 1):
-                rs = range(max(0, d - h + 1), min(v - 1, d) + 1)
-                waves.append((
-                    np.array([r * h + d - r for r in rs]),
-                    np.array([r * h + d - r - 1 if d > r else pad for r in rs]
-                             + [(r - 1) * h + d - r if r else pad for r in rs]),
-                    np.array([self._h_idx(r, d - r - 1) if d > r else n for r in rs]
-                             + [self._v_idx(r - 1, d - r) if r else n for r in rs])))
-            back_cell, back_edge = [], []
-            for cell in range(pad):
-                r, c = divmod(cell, h)
-                back_cell += [cell - 1, cell - h]
-                back_edge += [self._h_idx(r, c - 1) if c else 0,
-                              self._v_idx(r - 1, c) if r else 0]
-            self._wave_tables = (waves, np.array(back_cell), np.array(back_edge))
-        return self._wave_tables
-
-    def _segment_solve(self, costs, excluded, start):
-        """Min-cost path start->sink honouring exclusions and the tie rule.
-
-        Returns ``(cost, edge indices in path order)`` or ``None`` when no
-        path below the sentinel cutoff exists.  Each cell keeps its cost and
-        whether it was entered by a right move; when both ways in cost
-        exactly the same, the prefix with the lex-smaller support wins.
-        """
-        r0, c0 = start
-        rows, cols = self.v - r0, self.h - c0
-        dist = [[0.0] * cols for _ in range(rows)]
-        right = [[True] * cols for _ in range(rows)]  # False: entered moving down
-        for r in range(rows):
-            row = dist[r]
-            for c in range(cols):
-                if r == 0 and c == 0:
-                    continue
-                if c > 0:
-                    idx = self._h_idx(r0 + r, c0 + c - 1)
-                    best = row[c - 1] + (
-                        BIG if excluded is not None and idx in excluded else costs[idx])
-                if r > 0:
-                    idx = self._v_idx(r0 + r - 1, c0 + c)
-                    cand = dist[r - 1][c] + (
-                        BIG if excluded is not None and idx in excluded else costs[idx])
-                    # on an exact tie the prefix with the lex-smaller support wins
-                    if c == 0 or cand < best or (cand == best and (
-                            sorted(self._walk(right, start, r, c, False))
-                            < sorted(self._walk(right, start, r, c, True)))):
-                        best = cand
-                        right[r][c] = False
-                row[c] = best
-        total = dist[rows - 1][cols - 1]
-        if total >= BIG_CUTOFF:
-            return None
-        edges = self._walk(right, start, rows - 1, cols - 1, right[rows - 1][cols - 1])
-        edges.reverse()
-        return total, edges
-
-    def _walk(self, right, start, r, c, move_right):
-        """Edges of the stored path from ``start`` to cell ``(r, c)``
-        (relative to ``start``) whose last move is right or down, in reverse
-        order: the edge into ``(r, c)`` comes first."""
-        r0, c0 = start
-        edges = []
-        while r or c:
-            if move_right:
-                c -= 1
-                edges.append(self._h_idx(r0 + r, c0 + c))
-            else:
-                r -= 1
-                edges.append(self._v_idx(r0 + r, c0 + c))
-            move_right = right[r][c]
-        return edges
-
-    def _constrained_solve(self, costs, excluded: frozenset, forced: Tuple[int, ...]):
-        """Solve with a forced source-anchored prefix ``forced`` (edges in
-        path order) and an excluded set: the prefix's cost plus one segment
-        solve from the prefix's end to the sink.  Returns ``(cost, edge
-        indices in path order)``, or ``None`` if infeasible."""
-        total = 0.0
-        for e in forced:
-            total += costs[e]
-        start = self.edge_endpoints(forced[-1])[1] if forced else (0, 0)
-        seg = self._segment_solve(costs, excluded, start)
-        if seg is None:
-            return None
-        total += seg[0]
-        if total >= BIG_CUTOFF:
-            return None
-        return total, list(forced) + seg[1]
+    def _best_path(self, p: int, down: List[bool]) -> List[int]:
+        """Edges of one row's best path from position ``p`` to the sink;
+        ``down`` is that row's column of the pass, as a list."""
+        edges, heads = self._steps
+        path = []
+        while p:
+            key = 2 * p + down[p]
+            path.append(edges[key])
+            p = heads[key]
+        return path
 
     # -- k-best ------------------------------------------------------------
 
     def top_k(self, costs: np.ndarray, k: int):
-        """Lawler partitioning: spawn one subproblem per deviation position,
-        forcing the popped path's prefix and excluding the deviating edge.
-        Every constrained solve counts as one nominal evaluation, so the
-        total is ``1 + (number of spawned subproblems)``."""
-        costs = costs.tolist()
-        cost0, seq0 = self._constrained_solve(costs, frozenset(), ())
-        solves = 1
-        results: List[np.ndarray] = []
-        heap = []
-        counter = itertools.count()  # heap stability; never reached for comparison
-        heapq.heappush(heap, (cost0, tuple(sorted(seq0)), next(counter), seq0, (), frozenset()))
+        """Lawler partitioning (Lawler 1972) over one :meth:`_suffix_pass`.
+        A popped path spawns one subproblem per position ``j`` from the end
+        of its forced prefix on, forcing its first ``j`` edges and excluding
+        edge ``j``.  Exclusions only leave the end cell of a forced prefix,
+        so a subproblem's answer is the prefix, that cell's other move (if
+        any is left) and the stored best path on.  Each subproblem counts as
+        one nominal solve: ``1 + (number spawned)`` in all."""
+        c = costs.tolist()
+        dist, down = self._suffix_pass(costs[None])
+        dist, down = dist[:, 0].tolist(), down[:, 0].tolist()
+        edges, heads = self._steps
+        source, pad = self.v * self.h - 1, self.v * self.h
+        path = self._best_path(source, down)
+        # (cost summed from the sink, support, path, forced length, excluded edges)
+        heap = [(dist[source], tuple(sorted(path)), path, 0, frozenset())]
+        solves, results = 1, []
         while heap and len(results) < k:
-            _cost, _supp, _, seq, forced, excluded = heapq.heappop(heap)
+            _cost, _supp, path, forced, excluded = heapq.heappop(heap)
             bits = np.zeros(self.n)
-            bits[seq] = 1.0
+            bits[path] = 1.0
             results.append(bits)
             if len(results) == k:
                 break
-            for j in range(len(forced), len(seq)):
-                sub_forced = tuple(seq[:j])
-                sub_excluded = excluded | {seq[j]}
-                sub = self._constrained_solve(costs, sub_excluded, sub_forced)
-                solves += 1
-                if sub is not None:
-                    sc, sseq = sub
-                    heapq.heappush(heap, (sc, tuple(sorted(sseq)), next(counter), sseq,
-                                          sub_forced, sub_excluded))
+            p = source
+            for j, e in enumerate(path):
+                key = 2 * p + (e >= self._n_h)   # vertical edges are the down moves
+                if j >= forced:
+                    blocked = (excluded if j == forced else frozenset()) | {e}
+                    solves += 1
+                    for other in (2 * p, 2 * p + 1):
+                        if heads[other] == pad or edges[other] in blocked:
+                            continue
+                        total = c[edges[other]] + dist[heads[other]]
+                        for f in reversed(path[:j]):
+                            total = c[f] + total
+                        sub = path[:j] + [edges[other]] + self._best_path(
+                            heads[other], down)
+                        heapq.heappush(heap, (total, tuple(sorted(sub)), sub, j, blocked))
+                p = heads[key]
         return results, solves
 
     # -- feasibility -------------------------------------------------------
@@ -715,8 +672,9 @@ def solve(inst, costs, audit: Optional[OracleAudit] = None) -> np.ndarray:
 def solve_batch(inst, costs, audit: Optional[OracleAudit] = None) -> np.ndarray:
     """Row ``i`` of the result is ``solve(inst, costs[i])``, for every row of
     the ``(B, n)`` cost batch; counts ``B`` nominal solves.  Rows run in
-    blocks of at most :data:`BATCH_TABLE_ENTRIES` DP table entries, and rows
-    that meet an exact tie are re-solved by the scalar DP."""
+    blocks of at most :data:`BATCH_TABLE_ENTRIES` DP table entries.  Grid
+    rows never fall back; TSP rows that meet an exact tie are re-solved by
+    the scalar Held-Karp."""
     C = _check_costs(inst, costs, ndim=2)
     X = np.zeros(C.shape)
     block = max(1, BATCH_TABLE_ENTRIES // inst.row_table_entries)

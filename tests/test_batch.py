@@ -1,8 +1,9 @@
 """Batched solves and batched training equal their per-row forms, bit for bit.
 
-``solve_batch`` must return, row for row, what ``solve`` returns, count one
-nominal solve per row, and send exactly the rows that meet an exact tie to
-the scalar DP.  The batched training path rests on four numpy identities,
+``solve_batch`` must return, row for row, what ``solve`` returns, and count
+one nominal solve per row.  Grid rows never fall back: the grid's one DP
+applies the tie rule itself.  TSP rows that meet an exact tie, and only
+those, are re-solved by the scalar Held-Karp.  The batched training path rests on four numpy identities,
 pinned here so that a numpy upgrade breaking one fails the suite.
 """
 
@@ -64,19 +65,22 @@ class TestBatchedEqualsPerRow:
     @pytest.mark.parametrize("inst", [INSTANCES[2], INSTANCES[4], INSTANCES[5]],
                              ids=[IDS[2], IDS[4], IDS[5]])
     def test_integer_ties_all_fall_back(self, inst):
+        # every integer TSP row falls back; grid rows never do
+        C = cost_rows(inst, "integer")
         audit = OracleAudit()
-        solve_batch(inst, cost_rows(inst, "integer"), audit)
-        assert audit.fallback_count == ROWS
+        assert solve_batch(inst, C, audit).tobytes() == per_row(inst, C).tobytes()
+        assert audit.fallback_count == (0 if inst.kind == "grid" else ROWS)
 
     @pytest.mark.parametrize("inst", [GridShortestPath(2, 2), GridShortestPath(5, 5),
                                       DenseTSP(4), DenseTSP(6)],
                              ids=["grid2x2", "grid5x5", "tsp4", "tsp6"])
     def test_constant_rows_all_fall_back(self, inst):
+        # constant TSP rows all fall back; grid rows never do
         C = np.repeat([[0.0], [1.0], [2.0]], inst.n, axis=1)
         audit = OracleAudit()
         X = solve_batch(inst, C, audit)
         assert X.tobytes() == per_row(inst, C).tobytes()
-        assert audit.fallback_count == 3
+        assert audit.fallback_count == (0 if inst.kind == "grid" else 3)
 
     def test_select_argmin_never_falls_back(self):
         inst = SelectOne(5)
@@ -86,11 +90,18 @@ class TestBatchedEqualsPerRow:
         assert audit.fallback_count == 0
 
     def test_fallback_rows_are_the_tied_ones(self):
-        # a 2x2 grid ties exactly when both paths cost the same
-        C = np.array([[1.0, 5.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [3.0, 1.0, 2.0, 0.0]])
+        # rows 1 and 3 tie (all tours cost the same; two tours close at the
+        # same cost), rows 0 and 2 do not
+        inst = DenseTSP(4)
+        C = np.array([[0.3, 1.7, 0.9, 2.6, 1.1, 0.4], np.ones(inst.n),
+                      [3.0, 1.0, 2.0, 0.0, 5.0, 1.5], [0.2, 0.7, 0.2, 0.2, 0.2, 0.7]])
         audit = OracleAudit()
-        solve_batch(GridShortestPath(2, 2), C, audit)
-        assert (audit.solve_count, audit.fallback_count) == (3, 2)
+        assert solve_batch(inst, C, audit).tobytes() == per_row(inst, C).tobytes()
+        assert (audit.solve_count, audit.fallback_count) == (4, 2)
+        for row, tied in zip(C, [0, 1, 0, 1]):
+            one = OracleAudit()
+            solve_batch(inst, row[None], one)
+            assert one.fallback_count == tied
 
     @pytest.mark.parametrize("row", [
         [0.2, 0.7, 0.2, 0.2, 0.2, 0.7],

@@ -271,8 +271,18 @@ class TestSweepPreflight:
          r"policies\[0\]: uncertainty parameters must be non-negative"),
         ({"policies": [{"kind": "topk", "k": "x"}]},
          r"policies\[0\]: invalid literal for int\(\)"),
+        ({"problems": []}, "problems is empty"),
+        ({"noise_values": []}, "noise_values is empty"),
+        ({"methods": []}, "methods is empty"),
+        ({"seeds": []}, "seeds is empty"),
+        ({"problems": [{"kind": "grid", "v": 2, "h": 2, "t_values": []}]},
+         r"problems\[0\]\.t_values is empty"),
+        ({"t_values": []}, "t_values is empty"),
+        ({"policies": []}, "policies is empty"),
     ], ids=["epochs", "batch_size", "pfyl_samples", "test_size", "features", "degree",
-            "noise", "grid_v", "problem_kind", "topk_k", "knn_w", "ro_rho", "k_not_int"])
+            "noise", "grid_v", "problem_kind", "topk_k", "knn_w", "ro_rho", "k_not_int",
+            "no_problems", "no_noise_values", "no_methods", "no_seeds", "no_problem_t_values",
+            "no_t_values", "no_policies"])
     def test_unrunnable_value(self, monkeypatch, changes, message):
         with pytest.raises(ValueError, match="^sweep config: " + message):
             self.run_unrunnable(monkeypatch, **changes)

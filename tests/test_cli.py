@@ -204,6 +204,17 @@ class TestErrorHandling:
         assert rc == 1
         assert "meta.json: missing field 'm'" in err
 
+    def test_val_split_of_another_instance(self, small_data, tmp_path, capsys):
+        data = shutil.copytree(small_data, tmp_path / "ds")
+        meta_path = data / "val" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["instance"] = "grid:3x2"
+        meta_path.write_text(json.dumps(meta))
+        rc, err = self._train(data, tmp_path, capsys)
+        assert rc == 1
+        assert err == ("error: val split instance 'grid:3x2' differs from "
+                       "train split instance 'grid:2x3'\n")
+
     @pytest.mark.parametrize("grid", ["5", "5x5x5", "ax5"])
     def test_bad_grid_size(self, tmp_path, capsys, grid):
         out = tmp_path / "ds"

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dflkit
 from dflkit.core import Dataset, DatasetMeta, DimensionError, RngStream
 
 
@@ -80,8 +83,12 @@ class TestRngStream:
             "out = [s.uniform() for _ in range(4)] + list(map(float, s.normal(4)))\n"
             "print(json.dumps(out))\n"
         )
+        # the child imports the same dflkit as this process
+        src = str(Path(dflkit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
         runs = [subprocess.run([sys.executable, "-c", code], capture_output=True,
-                               text=True, check=True).stdout
+                               text=True, check=True, env=env).stdout
                 for _ in range(2)]
         assert runs[0] == runs[1]
         here = [RngStream(2024, 3).uniform() for _ in [0]]

@@ -105,6 +105,16 @@ class TestGenerateSamples:
             assert np.array_equal(ds.costs, ref.costs)
 
 
+def _edit_json(path, edit):
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+
+
+def _edit_line(path, line, edit):
+    lines = path.read_text().splitlines()
+    lines[line - 1] = edit(lines[line - 1])
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestPersistence:
     def _random_ds(self, seed=0):
         inst = GridShortestPath(3, 3)
@@ -142,6 +152,22 @@ class TestPersistence:
         save_dataset(ds, tmp_path / "d")
         (tmp_path / "d" / "costs.csv").unlink()
         with pytest.raises(Exception):
+            load_dataset(tmp_path / "d")
+
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda d: _edit_json(d / "meta.json", lambda meta: {**meta, "m": "five"}),
+         r"meta\.json: field 'm' is 'five', not int"),
+        (lambda d: _edit_json(d / "meta.json", lambda meta: [1, 2]),
+         r"meta\.json: expected a JSON object, got list"),
+        (lambda d: _edit_line(d / "costs.csv", 3, lambda s: "abc" + s[s.index(","):]),
+         r"costs\.csv: line 3: could not convert string to float: 'abc'"),
+        (lambda d: _edit_line(d / "costs.csv", 2, lambda s: s[:s.rindex(",")]),
+         r"costs\.csv: line 2: 11 values, header has 12"),
+    ], ids=["meta_field_type", "meta_not_object", "non_numeric_cell", "ragged_row"])
+    def test_malformed_file_is_named(self, tmp_path, tamper, message):
+        save_dataset(self._random_ds(), tmp_path / "d")
+        tamper(tmp_path / "d")
+        with pytest.raises(ValueError, match=message):
             load_dataset(tmp_path / "d")
 
     def test_optional_clean_costs(self, tmp_path):

@@ -7,8 +7,8 @@ import bruteforce as bf
 from dflkit.core import DimensionError
 from dflkit.oracles import (BIG_CUTOFF, DenseTSP, GridShortestPath, OracleAudit,
                             SelectOne, UncertaintyParams, instance_from_descriptor,
-                            is_feasible, robust_solve, solve, top_k_solve,
-                            worst_case_cost)
+                            is_feasible, robust_solve, solve, solve_batch,
+                            top_k_solve, worst_case_cost)
 
 
 def bits(x):
@@ -455,3 +455,34 @@ class TestExactNearTies:
             x = bits(solve(inst, c))
             assert bits(top_k_solve(inst, c, 1)[0]) == x
             assert bits(robust_solve(inst, c, u)) == x
+
+
+class TestGridTieRule5x5:
+    """The grid's exact tie rule on all 70 paths of a 5x5 grid."""
+
+    INST = GridShortestPath(5, 5)
+    PATHS = bf.grid_paths(5, 5)
+
+    @pytest.mark.parametrize("kind", ["integer", "dyadic", "constant"])
+    def test_batch_and_top_k_match_exact_bruteforce(self, kind):
+        rng = np.random.default_rng(103)
+        n = self.INST.n
+        if kind == "integer":
+            C = rng.integers(0, 3, size=(40, n)).astype(float)
+        elif kind == "dyadic":
+            C = np.array([dyadic_near_ties(rng, n) for _ in range(40)])
+        else:
+            C = np.repeat([[0.0], [1.0], [2.0], [-0.75]], n, axis=1)
+        audit = OracleAudit()
+        X = solve_batch(self.INST, C, audit)
+        assert audit.fallback_count == 0
+        for i, (c, x) in enumerate(zip(C, X)):
+            exact = bf.exact_costs(c)
+            assert bits(x) == bf.best_decision(self.PATHS, exact)
+            k = len(self.PATHS) if i % 4 == 0 else 1 + (7 * i) % len(self.PATHS)
+            got = [bits(y) for y in top_k_solve(self.INST, c, k)]
+            assert got == bf.k_best_decisions(self.PATHS, exact, k)
+
+    def test_constant_costs_give_every_path_in_lex_order(self):
+        got = [bits(y) for y in top_k_solve(self.INST, np.full(self.INST.n, 1.5), 70)]
+        assert got == sorted(self.PATHS, key=bf.support_of)
