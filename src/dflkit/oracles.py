@@ -24,13 +24,15 @@ sink can rank two paths differently from summing from the source.
 Held-Karp breaks an exact tie between two ways into a state by the supports.
 
 Batched solves (:func:`solve_batch`) return, row for row, exactly what
-:func:`solve` returns.  Grid rows never fall back.  Batched Held-Karp flags
-every row that meets an exact float64 tie: a DP state with two equal-cost
-ways in, or equal closing edges from two different tours (a tour and its own
-reverse have the same support, so that is no tie).  Only these TSP rows are
-re-solved by the scalar Held-Karp; ``OracleAudit.fallback_count`` counts
-them.  ``SelectOne`` takes a plain ``argmin``, which keeps the smallest
-index.  Grid Lawler k-best reads one DP per call.
+:func:`solve` returns.  Grid rows never fall back.  Batched Held-Karp reduces
+each popcount layer across its ways in, stored ways first, and keeps the
+first way at a state's minimum.  It flags every row that meets an exact
+float64 tie: a DP state with two equal-cost ways in, or equal closing edges
+from two different tours (a tour and its own reverse have the same support,
+so that is no tie).  Only these TSP rows are re-solved by the scalar
+Held-Karp; ``OracleAudit.fallback_count`` counts them.  ``SelectOne`` takes
+a plain ``argmin``, which keeps the smallest index.  Grid Lawler k-best
+reads one DP per call.
 """
 
 from __future__ import annotations
@@ -104,7 +106,8 @@ class UncertaintyParams:
 
 def _check_costs(inst, costs, ndim: int = 1) -> np.ndarray:
     """A cost vector (``ndim=1``) or a ``(rows, n)`` cost batch (``ndim=2``)
-    as float64, rejecting wrong shapes, non-finite and sentinel-sized entries."""
+    as float64, rejecting wrong shapes, non-finite entries and magnitudes
+    that would let a decision's summed |cost| reach :data:`BIG_CUTOFF`."""
     c = np.asarray(costs, dtype=np.float64)
     if c.ndim != ndim or c.shape[-1] != inst.n:
         want = f"length {inst.n}" if ndim == 1 else f"(rows, {inst.n})"
@@ -117,8 +120,8 @@ def _check_costs(inst, costs, ndim: int = 1) -> np.ndarray:
         raise ValueError("cost vector contains non-finite entries")
     if biggest * (inst.n + 1) >= BIG_CUTOFF:
         raise ValueError(
-            "cost magnitudes too large for sentinel arithmetic "
-            f"(need max|c| * (n+1) < {BIG_CUTOFF:g})")
+            "cost magnitudes too large: every decision's summed |cost| must stay "
+            f"below {BIG_CUTOFF:g} (need max|c| * (n+1) < {BIG_CUTOFF:g})")
     return c
 
 
@@ -179,14 +182,6 @@ class GridShortestPath:
 
     def _v_idx(self, r: int, c: int) -> int:
         return self._n_h + r * self.h + c
-
-    def edge_endpoints(self, idx: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-        if idx < self._n_h:
-            r, c = divmod(idx, self.h - 1)
-            return (r, c), (r, c + 1)
-        k = idx - self._n_h
-        r, c = divmod(k, self.h)
-        return (r, c), (r + 1, c)
 
     def descriptor(self) -> str:
         return f"grid:{self.v}x{self.h}"
@@ -459,10 +454,14 @@ class DenseTSP:
 
     def solve_nominal_batch(self, C: np.ndarray):
         """Held-Karp over every row of ``C`` at once, one popcount layer of
-        states per step.  Returns ``(decisions, tied)``: ``tied`` flags the
-        rows where some state's cheapest ways in cost exactly the same, or
-        where the cheapest closing edges finish two different tours; their
-        decisions :func:`solve_batch` takes from :meth:`solve_nominal`."""
+        states per step.  A layer gathers its candidates as one ``(ways in,
+        states, rows)`` array and reduces across the ways in: the minimum is
+        the state's cost, and the first way that reaches it (the lowest
+        predecessor node, the index ``argmin`` would return) its predecessor.
+        Returns ``(decisions, tied)``: ``tied`` flags the rows where some
+        state's cheapest ways in cost exactly the same, or where the cheapest
+        closing edges finish two different tours; their decisions
+        :func:`solve_batch` takes from :meth:`solve_nominal`."""
         self._check_solve_cap()
         nn = self.n_nodes
         rows = C.shape[0]
@@ -472,12 +471,20 @@ class DenseTSP:
         dp[0] = 0.0                                       # mask 1, last 0
         tied = np.zeros(rows, dtype=bool)
         for states, prev_states, prev_nodes, edges in self._hk_layers():
-            cand = dp[prev_states] + costs[edges]         # (states, ways in, rows)
-            best = cand.min(axis=1)
-            if cand.shape[1] > 1:
-                tied |= ((cand == best[:, None]).sum(axis=1) > 1).any(axis=0)
+            cand = dp.take(prev_states, axis=0)           # (ways in, states, rows)
+            cand += costs.take(edges, axis=0)
+            if len(cand) == 1:                            # one way in: nothing to reduce
+                dp[states] = cand[0]
+                pred[states] = prev_nodes[0][:, None]
+                continue
+            best = cand.min(axis=0)
+            eq = cand == best
+            # ways at each state's minimum; int8 holds the at most nodes - 2 ways in
+            tied |= eq.sum(axis=0, dtype=np.int8).max(axis=0) > 1
             dp[states] = best
-            pred[states] = prev_nodes[np.arange(len(states))[:, None], cand.argmin(axis=1)]
+            # the first way at the minimum has the lowest node, so the highest
+            # nn - node; a max over the ways axis costs far less than argmin
+            pred[states] = nn - (eq * (nn - prev_nodes)[:, :, None]).max(axis=0)
         lasts = np.arange(1, nn)
         close = dp[(((1 << nn) - 1) >> 1) * nn + lasts] + costs[self._pair_matrix[lasts, 0]]
         best = close.min(axis=0)
@@ -508,15 +515,20 @@ class DenseTSP:
 
     def _hk_layers(self):
         """Per popcount ``size`` of the visited mask (2 to ``nodes``): the
-        layer's states ``(mask >> 1) * nodes + nxt`` and, for each state, its ways
-        in: predecessor states, their last nodes (ascending) and the edges
-        from them to ``nxt``."""
+        layer's states ``(mask >> 1) * nodes + nxt`` and its ways in, stored
+        ways first as ``(ways in, states)`` tables of predecessor states,
+        their last nodes (ascending along the ways axis) and the edges from
+        them to ``nxt``."""
         if self._layer_tables is None:
             nn = self.n_nodes
             masks = np.arange(1, 1 << nn, 2)
             bits = (masks[:, None] >> np.arange(1, nn)) & 1    # nodes 1 .. nn-1
             sizes = bits.sum(axis=1) + 1
             layers = []
+
+            def ways_first(table, dtype):   # (masks, nxt, ways in) -> (ways in, states)
+                return np.ascontiguousarray(table.reshape(-1, table.shape[-1]).T, dtype=dtype)
+
             for size in range(2, nn + 1):
                 ms = masks[sizes == size]
                 nxt = np.nonzero(bits[sizes == size])[1].reshape(len(ms), size - 1) + 1
@@ -526,12 +538,11 @@ class DenseTSP:
                     others = [[i for i in range(size - 1) if i != j] for j in range(size - 1)]
                     ways = nxt[:, others]
                 prev = ms[:, None] ^ (1 << nxt)
-                count = nxt.size
                 layers.append((
                     ((ms[:, None] >> 1) * nn + nxt).ravel(),
-                    ((prev[:, :, None] >> 1) * nn + ways).reshape(count, -1).astype(np.int32),
-                    ways.reshape(count, -1).astype(np.int8),
-                    self._pair_matrix[ways, nxt[:, :, None]].reshape(count, -1).astype(np.int32)))
+                    ways_first((prev[:, :, None] >> 1) * nn + ways, np.int32),
+                    ways_first(ways, np.int8),
+                    ways_first(self._pair_matrix[ways, nxt[:, :, None]], np.int32)))
             self._layer_tables = layers
         return self._layer_tables
 

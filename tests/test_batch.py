@@ -3,8 +3,10 @@
 ``solve_batch`` must return, row for row, what ``solve`` returns, and count
 one nominal solve per row.  Grid rows never fall back: the grid's one DP
 applies the tie rule itself.  TSP rows that meet an exact tie, and only
-those, are re-solved by the scalar Held-Karp.  The batched training path rests on four numpy identities,
-pinned here so that a numpy upgrade breaking one fails the suite.
+those, are re-solved by the scalar Held-Karp; the batched Held-Karp pass
+itself, before any fallback, is checked against a plain-Python form of it.
+The batched training path rests on four numpy identities, pinned here so
+that a numpy upgrade breaking one fails the suite.
 """
 
 import numpy as np
@@ -41,6 +43,39 @@ def cost_rows(inst, kind, seed=0):
 
 def per_row(inst, C):
     return np.array([solve(inst, c) for c in C]).reshape(C.shape)
+
+
+def first_way_held_karp(inst, c):
+    """One row of the batched Held-Karp pass in plain Python, before any
+    fallback: ``(decision, tied)``.  Each state keeps the lowest predecessor
+    node among its cheapest ways in, the tour closes from the lowest last
+    node at the minimum, and the row is tied when a state has two cheapest
+    ways in or the cheapest closings finish two different tours."""
+    nn = inst.n_nodes
+    d = [[c[inst.pair_index(i, j)] if i != j else 0.0 for j in range(nn)] for i in range(nn)]
+    cost, pred, tied = {(1, 0): 0.0}, {}, False
+    for mask in range(3, 1 << nn, 2):   # every predecessor mask is a smaller number
+        for nxt in range(1, nn):
+            if mask >> nxt & 1:
+                prev = mask ^ (1 << nxt)
+                ways = [(cost[prev, last] + d[last][nxt], last)
+                        for last in range(nn) if (prev, last) in cost]
+                best = min(value for value, _ in ways)
+                at_min = [last for value, last in ways if value == best]
+                tied |= len(at_min) > 1
+                cost[mask, nxt], pred[mask, nxt] = best, at_min[0]
+    full = (1 << nn) - 1
+    close = {last: cost[full, last] + d[last][0] for last in range(1, nn)}
+    tours = []
+    for last in [last for last, value in close.items() if value == min(close.values())]:
+        tour, mask = {inst.pair_index(last, 0)}, full
+        while mask != 1:
+            tour.add(inst.pair_index(pred[mask, last], last))
+            mask, last = mask ^ (1 << last), pred[mask, last]
+        tours.append(frozenset(tour))
+    x = np.zeros(inst.n)
+    x[sorted(tours[0])] = 1.0
+    return x, tied or len(set(tours)) > 1
 
 
 class TestBatchedEqualsPerRow:
@@ -115,6 +150,29 @@ class TestBatchedEqualsPerRow:
         assert X[0].tobytes() == solve(inst, row).tobytes()
         assert audit.fallback_count == 1
 
+    @pytest.mark.parametrize("kind", ["normal", "integer"])
+    @pytest.mark.parametrize("inst", [DenseTSP(9), DenseTSP(10)], ids=["tsp:9", "tsp:10"])
+    def test_law_across_blocks(self, inst, kind):
+        # a 9-node block holds 28 rows and a 10-node block 12, so 60 rows
+        # span 3 and 5 blocks; every integer row falls back, no normal row does
+        C = cost_rows(inst, kind)
+        audit = OracleAudit()
+        X = solve_batch(inst, C, audit)
+        assert X.tobytes() == per_row(inst, C).tobytes()
+        assert audit.solve_count == ROWS
+        assert audit.fallback_count == (0 if kind == "normal" else ROWS)
+
+    @pytest.mark.parametrize("kind", ["normal", "integer", "dyadic"])
+    @pytest.mark.parametrize("nodes", [4, 5, 6, 7])
+    def test_pass_keeps_first_way_at_minimum(self, nodes, kind):
+        # the batched pass before any fallback: decisions and tie flags
+        inst = DenseTSP(nodes)
+        C = cost_rows(inst, kind)
+        X, tied = inst.solve_nominal_batch(C)
+        for c, x, flag in zip(C, X, tied.tolist()):
+            want_x, want_flag = first_way_held_karp(inst, c)
+            assert (x.tobytes(), flag) == (want_x.tobytes(), want_flag)
+
     def test_blocks_match_one_block(self, monkeypatch):
         import dflkit.oracles as oracles
 
@@ -160,7 +218,7 @@ class TestBatchEdges:
         inst = DenseTSP(5)
         C = np.ones((3, inst.n))
         C[1, 0] = BIG_CUTOFF / inst.n
-        with pytest.raises(ValueError, match="sentinel") as batch_err:
+        with pytest.raises(ValueError, match=r"summed \|cost\| must stay below") as batch_err:
             solve_batch(inst, C)
         with pytest.raises(ValueError) as row_err:
             solve(inst, C[1])
