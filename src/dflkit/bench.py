@@ -235,6 +235,24 @@ def bias_demo(cfg: BiasDemoConfig) -> BiasDemoResult:
 # Sweep runner
 # ---------------------------------------------------------------------------
 
+def _epochs_by_t(value) -> Dict[int, int]:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object mapping t to epochs, got {type(value).__name__}")
+    return {int(k): int(v) for k, v in value.items()}
+
+
+# how SweepConfig.from_dict converts each required field
+_REQUIRED_CASTS = dict(
+    problems=tuple,
+    t_values=lambda v: tuple(int(t) for t in v),
+    noise_values=lambda v: tuple(float(e) for e in v),
+    methods=tuple,
+    policies=tuple,
+    seeds=lambda v: tuple(int(s) for s in v),
+    epochs_by_t=_epochs_by_t,
+)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     problems: Tuple[dict, ...]
@@ -258,22 +276,22 @@ class SweepConfig:
     @staticmethod
     def from_dict(d: dict) -> "SweepConfig":
         """Parse a sweep JSON object.  Optional keys absent from ``d`` keep
-        the dataclass defaults; present ones are cast to the default's type."""
-        try:
-            required = dict(
-                problems=tuple(d["problems"]),
-                t_values=tuple(int(t) for t in d["t_values"]),
-                noise_values=tuple(float(e) for e in d["noise_values"]),
-                methods=tuple(d["methods"]),
-                policies=tuple(d["policies"]),
-                seeds=tuple(int(s) for s in d["seeds"]),
-                epochs_by_t={int(k): int(v) for k, v in d["epochs_by_t"].items()},
-            )
-        except KeyError as exc:
-            raise ValueError(f"sweep config: missing field {exc.args[0]!r}") from None
-        optional = {f.name: type(f.default)(d[f.name]) for f in fields(SweepConfig)
-                    if f.default is not MISSING and f.name in d}
-        return SweepConfig(**required, **optional)
+        the dataclass defaults; present ones are cast to the default's type.
+        A missing required key, or a value that does not convert, raises a
+        ``ValueError`` starting ``sweep config:`` that names the field."""
+        casts = dict(_REQUIRED_CASTS)
+        for f in fields(SweepConfig):
+            if f.default is not MISSING and f.name in d:
+                casts[f.name] = type(f.default)
+        parsed = {}
+        for name, cast in casts.items():
+            if name not in d:
+                raise ValueError(f"sweep config: missing field {name!r}")
+            try:
+                parsed[name] = cast(d[name])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"sweep config: {name}: {exc}") from None
+        return SweepConfig(**parsed)
 
 
 def default_sweep_config() -> dict:

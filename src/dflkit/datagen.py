@@ -148,7 +148,11 @@ def _read_matrix(path: Path, header_prefix: str, rows: int, cols: int) -> np.nda
             try:
                 if len(row) != cols:
                     raise ValueError(f"{len(row)} values, header has {cols}")
-                data.append([float(x) for x in row])
+                values = [float(x) for x in row]
+                if not all(map(math.isfinite, values)):
+                    bad = next(x for x, v in zip(row, values) if not math.isfinite(v))
+                    raise ValueError(f"non-finite value {bad!r}")
+                data.append(values)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {line}: {exc}") from None
     arr = np.array(data, dtype=np.float64)

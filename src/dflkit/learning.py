@@ -408,12 +408,16 @@ def _numeric_array(values, name: str, path) -> np.ndarray:
         raise ValueError(f"model file {path}: {name} is not a numeric array") from exc
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"model file {path}: {name} is not a numeric array")
-    return arr.astype(np.float64)
+    arr = arr.astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"model file {path}: {name} has non-finite entries")
+    return arr
 
 
 def load_model(path) -> tuple:
     """Returns ``(LinearPredictor, payload_dict)``.  ``theta`` must be a 2-D
-    numeric matrix and ``bias`` must be null (predictors have no bias)."""
+    matrix of finite numbers and ``bias`` must be null (predictors have no
+    bias)."""
     with open(path) as fh:
         payload = json.load(fh)
     for name in ("theta", "bias"):

@@ -21,18 +21,18 @@ above in exact arithmetic.  The grid DP sums each path from the sink and
 gives an exact tie between a cell's two moves to the right move, which is
 the rule made local; on near-ties whose sums are not exact, summing from the
 sink can rank two paths differently from summing from the source.
-Held-Karp breaks an exact tie between two ways into a state by the supports.
+Held-Karp sums each path from node 0 and breaks an exact tie between two
+ways into a state, or between two closing edges, by the paths' supports,
+which it carries as integer keys.
 
-Batched solves (:func:`solve_batch`) return, row for row, exactly what
-:func:`solve` returns.  Grid rows never fall back.  Batched Held-Karp reduces
-each popcount layer across its ways in, stored ways first, and keeps the
-first way at a state's minimum.  It flags every row that meets an exact
-float64 tie: a DP state with two equal-cost ways in, or equal closing edges
-from two different tours (a tour and its own reverse have the same support,
-so that is no tie).  Only these TSP rows are re-solved by the scalar
-Held-Karp; ``OracleAudit.fallback_count`` counts them.  ``SelectOne`` takes
-a plain ``argmin``, which keeps the smallest index.  Grid Lawler k-best
-reads one DP per call.
+Each instance has one DP, which applies the tie rule itself, so batched
+solves (:func:`solve_batch`) return, row for row, exactly what
+:func:`solve` returns.  The grid reads every path from one pass from the
+sink, walked in numpy for a batch and in Python for one row and for
+Lawler k-best.  Held-Karp reduces each popcount layer across its ways in,
+stored ways first, and keeps the largest support key at a state's
+minimum; a TSP :func:`solve` is its one-row call.  ``SelectOne`` takes a
+plain ``argmin``, which keeps the smallest index.
 """
 
 from __future__ import annotations
@@ -57,6 +57,11 @@ INF = math.inf
 # block holds 64 rows and a 10-node block 12.
 BATCH_TABLE_ENTRIES = 1 << 16
 
+# Bits per int64 word of a Held-Karp support key; 63 keeps every key word
+# non-negative, so one word holds the 55 edges of 11 nodes and two the 120
+# of 16.
+KEY_WORD_BITS = 63
+
 
 class OracleAudit:
     """Thread-safe counter of nominal-solve invocations.
@@ -64,27 +69,19 @@ class OracleAudit:
     Incremented exactly once per nominal solve, including the nominal solves
     performed inside ``robust_solve`` and ``top_k_solve``; a batch of ``B``
     rows counts ``B``, and each grid Lawler subproblem counts one.
-    ``fallback_count`` is the number of TSP batch rows that met an exact tie
-    and were re-solved by the scalar Held-Karp; grid rows never fall back.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._count = 0
-        self._fallback = 0
 
     @property
     def solve_count(self) -> int:
         return self._count
 
-    @property
-    def fallback_count(self) -> int:
-        return self._fallback
-
-    def add(self, k: int = 1, fallback: int = 0) -> None:
+    def add(self, k: int = 1) -> None:
         with self._lock:
             self._count += k
-            self._fallback += fallback
 
 
 @dataclass(frozen=True)
@@ -248,9 +245,9 @@ class GridShortestPath:
         bits[self._best_path(self.v * self.h - 1, down[:, 0].tolist())] = 1.0
         return bits
 
-    def solve_nominal_batch(self, C: np.ndarray):
+    def solve_nominal_batch(self, C: np.ndarray) -> np.ndarray:
         """Every row's path, read from the source after one
-        :meth:`_suffix_pass`, and ``tied``, which flags no row."""
+        :meth:`_suffix_pass`."""
         rows = C.shape[0]
         _, down = self._suffix_pass(C)
         _, _, edges, heads = self._pass_tables()
@@ -263,7 +260,7 @@ class GridShortestPath:
             p = heads.take(key)
         X = np.zeros((rows, self.n))
         X[idx, path] = 1.0
-        return X, np.zeros(rows, dtype=bool)
+        return X
 
     def _best_path(self, p: int, down: List[bool]) -> List[int]:
         """Edges of one row's best path from position ``p`` to the sink;
@@ -349,6 +346,25 @@ class GridShortestPath:
 # Dense symmetric TSP
 # ---------------------------------------------------------------------------
 
+def _cheapest_way(cand: np.ndarray, keys: np.ndarray):
+    """``(cost, key)`` of the way to keep over the ways axis, axis 0 of the
+    costs ``cand`` and axis 1 of the ``(words, ways, ...)`` support keys:
+    the minimum cost and, among the ways at it, the largest key, compared
+    word by word from the most significant."""
+    if len(cand) == 1:   # one way in: nothing to reduce
+        return cand[0], keys[:, 0]
+    best = cand.min(axis=0)
+    eq = cand == best
+    top = np.empty(keys.shape[:1] + best.shape, dtype=np.int64)
+    for w, word in enumerate(keys):
+        # keys are non-negative, so a way off the minimum reads 0; the
+        # product costs far less than np.where(eq, word, 0)
+        top[w] = (eq * word).max(axis=0)
+        if w + 1 < len(keys):
+            eq &= word == top[w]
+    return best, top
+
+
 class DenseTSP:
     """Hamiltonian cycle on a complete graph, solved exactly by Held-Karp.
 
@@ -378,7 +394,7 @@ class DenseTSP:
         self._pair_matrix = np.zeros((self.n_nodes, self.n_nodes), dtype=np.intp)
         for k, (i, j) in enumerate(self._pairs):
             self._pair_matrix[i, j] = self._pair_matrix[j, i] = k
-        # solve_batch's per-row table: one entry per (odd mask, last node)
+        # solve_batch's per-row DP size: one state per (odd mask, last node)
         self.row_table_entries = (1 << (self.n_nodes - 1)) * self.n_nodes
         self._layer_tables = None  # Held-Karp index arrays, built by _hk_layers
         self._tours = None  # (tour matrix, support ranks), built by top_k
@@ -394,140 +410,71 @@ class DenseTSP:
         pts = ";".join(f"{x:.6f},{y:.6f}" for x, y in self.coords)
         return f"tsp:{self.n_nodes},coords={pts}"
 
-    def _matrix(self, costs: np.ndarray) -> List[List[float]]:
-        nn = self.n_nodes
-        d = [[0.0] * nn for _ in range(nn)]
-        for (i, j), cost in zip(self._pairs, costs.tolist()):
-            d[i][j] = cost
-            d[j][i] = cost
-        return d
-
     # -- nominal solve -----------------------------------------------------
 
     def solve_nominal(self, costs: np.ndarray) -> np.ndarray:
-        """Held-Karp over ``(visited mask, last node)`` states.  Each state
-        keeps its cost and one predecessor node; when two ways into a state
-        cost exactly the same, the path with the lex-smaller support wins,
-        and the closing edge back to node 0 is chosen the same way."""
-        self._check_solve_cap()
-        nn = self.n_nodes
-        d = self._matrix(costs)
-        full = (1 << nn) - 1
-        dp = [[INF] * nn for _ in range(1 << nn)]
-        pred = [[0] * nn for _ in range(1 << nn)]
-        dp[1][0] = 0.0
-        for mask in range(1, 1 << nn, 2):
-            row = dp[mask]
-            # (unvisited node, dp and pred rows it extends into), hoisted
-            steps = [(nxt, dp[mask | (1 << nxt)], pred[mask | (1 << nxt)])
-                     for nxt in range(1, nn) if not mask & (1 << nxt)]
-            for last in range(nn):
-                base = row[last]
-                if base == INF:
-                    continue
-                dlast = d[last]
-                for nxt, tgt, tpred in steps:
-                    cand = base + dlast[nxt]
-                    if cand <= tgt[nxt] and (cand < tgt[nxt] or self._lex_less(
-                            pred, mask, last, tpred[nxt], nxt)):
-                        tgt[nxt] = cand
-                        tpred[nxt] = last
-        best = INF
-        best_last = -1
-        for last in range(1, nn):
-            val = dp[full][last] + d[last][0]
-            if val < best or (val == best and self._lex_less(
-                    pred, full, last, best_last, 0)):
-                best = val
-                best_last = last
-        edges = self._path_edges(pred, full, best_last)
-        edges.append(self.pair_index(best_last, 0))
-        bits = np.zeros(self.n)
-        bits[edges] = 1.0
-        return bits
+        return self.solve_nominal_batch(costs[None])[0]
 
-    def _check_solve_cap(self):
+    def solve_nominal_batch(self, C: np.ndarray) -> np.ndarray:
+        """Held-Karp over every row of ``C`` at once, one popcount layer of
+        states per step.  Each state ``(visited mask, last node)`` keeps, per
+        row, the cost of its cheapest path from node 0 and that path's
+        support as a key: an integer in which edge ``e`` weighs
+        ``2^(W b - 1 - e)``, stored as ``W = ceil(n / b)`` int64 words
+        (``b`` = :data:`KEY_WORD_BITS`), most significant first.  A way in
+        extends its predecessor's path by one edge that path does not use,
+        so its key is the predecessor's key plus that edge's bit.  Among the
+        ways that reach a state's minimum cost the largest key wins, which
+        for equal-size supports is the lex-smaller sorted support; the tour
+        closes back to node 0 the same way.  Every prefix of the tie rule's
+        tour is the lex-smallest cheapest path into its state, as the rest
+        of the tour shares no edge with any path over the visited set, so
+        the winner's key, unpacked into bits, is the rule's decision."""
         if self.n_nodes > self.SOLVE_MAX_NODES:
             raise ValueError(
                 f"exact TSP solve capped at {self.SOLVE_MAX_NODES} nodes, "
                 f"instance has {self.n_nodes}")
-
-    def solve_nominal_batch(self, C: np.ndarray):
-        """Held-Karp over every row of ``C`` at once, one popcount layer of
-        states per step.  A layer gathers its candidates as one ``(ways in,
-        states, rows)`` array and reduces across the ways in: the minimum is
-        the state's cost, and the first way that reaches it (the lowest
-        predecessor node, the index ``argmin`` would return) its predecessor.
-        Returns ``(decisions, tied)``: ``tied`` flags the rows where some
-        state's cheapest ways in cost exactly the same, or where the cheapest
-        closing edges finish two different tours; their decisions
-        :func:`solve_batch` takes from :meth:`solve_nominal`."""
-        self._check_solve_cap()
-        nn = self.n_nodes
-        rows = C.shape[0]
+        layers, edge_keys, words, shifts = self._hk_layers()
         costs = np.ascontiguousarray(C.T)                 # (n, rows)
-        dp = np.empty((self.row_table_entries, rows))     # state (mask >> 1) * nn + last
-        pred = np.empty((self.row_table_entries, rows), dtype=np.int8)
-        dp[0] = 0.0                                       # mask 1, last 0
-        tied = np.zeros(rows, dtype=bool)
-        for states, prev_states, prev_nodes, edges in self._hk_layers():
-            cand = dp.take(prev_states, axis=0)           # (ways in, states, rows)
+        dp = np.zeros((1, C.shape[0]))                    # the one state (mask 1, last 0)
+        key = np.zeros((len(edge_keys), 1, C.shape[0]), dtype=np.int64)
+        for prev, edges, edge_bits in layers:
+            cand = dp.take(prev, axis=0)                  # (ways in, states, rows)
             cand += costs.take(edges, axis=0)
-            if len(cand) == 1:                            # one way in: nothing to reduce
-                dp[states] = cand[0]
-                pred[states] = prev_nodes[0][:, None]
-                continue
-            best = cand.min(axis=0)
-            eq = cand == best
-            # ways at each state's minimum; int8 holds the at most nodes - 2 ways in
-            tied |= eq.sum(axis=0, dtype=np.int8).max(axis=0) > 1
-            dp[states] = best
-            # the first way at the minimum has the lowest node, so the highest
-            # nn - node; a max over the ways axis costs far less than argmin
-            pred[states] = nn - (eq * (nn - prev_nodes)[:, :, None]).max(axis=0)
-        lasts = np.arange(1, nn)
-        close = dp[(((1 << nn) - 1) >> 1) * nn + lasts] + costs[self._pair_matrix[lasts, 0]]
-        best = close.min(axis=0)
-        X = self._hk_walk(pred, np.arange(rows), close.argmin(axis=0) + 1)
-        minima = (close == best).sum(axis=0)
-        tied |= minima > 2
-        two = np.flatnonzero(minima == 2)
-        if two.size:
-            # a tour and its own reverse close at different nodes: no tie
-            second = nn - 1 - (close[::-1, two] == best[two]).argmax(axis=0)
-            tied[two] |= (self._hk_walk(pred, two, second) != X[two]).any(axis=1)
-        return X, tied
-
-    def _hk_walk(self, pred, cols, last):
-        """Tours of the batch columns ``cols`` that close from node ``last``
-        (one per column), read back through the predecessor table."""
-        nn = self.n_nodes
-        idx = np.arange(len(cols))
-        X = np.zeros((len(cols), self.n))
-        X[idx, self._pair_matrix[last, 0]] = 1.0
-        mask = np.full(len(cols), (1 << nn) - 1)
-        for _ in range(nn - 1):
-            prev = pred[(mask >> 1) * nn + last, cols].astype(np.intp)
-            X[idx, self._pair_matrix[prev, last]] = 1.0
-            mask = mask ^ (1 << last)
-            last = prev
-        return X
+            cand_key = key.take(prev, axis=1)             # (words, ways in, states, rows)
+            cand_key += edge_bits
+            dp, key = _cheapest_way(cand, cand_key)
+        closing = self._pair_matrix[1:, 0]               # the full mask's last nodes 1, 2, ...
+        _, tour = _cheapest_way(dp + costs[closing], key + edge_keys[:, closing, None])
+        return ((tour.T.take(words, axis=1) >> shifts) & 1).astype(np.float64)
 
     def _hk_layers(self):
-        """Per popcount ``size`` of the visited mask (2 to ``nodes``): the
-        layer's states ``(mask >> 1) * nodes + nxt`` and its ways in, stored
-        ways first as ``(ways in, states)`` tables of predecessor states,
-        their last nodes (ascending along the ways axis) and the edges from
-        them to ``nxt``."""
+        """Per popcount ``size`` of the visited mask (2 to ``nodes``), the
+        ways into the layer's states ``(mask, nxt)``, which are ordered by
+        mask, then by ``nxt``.  They are stored ways first as ``(ways in,
+        states)`` tables of the predecessor's position in the layer before
+        and the edge from it to ``nxt``, with that edge's key bits as a
+        ``(words, ways in, states, 1)`` table.  Also each edge's key as
+        ``(words, n)``, and each edge's word and bit shift for unpacking a
+        key.  The key layout follows :data:`KEY_WORD_BITS` when the tables
+        are built."""
         if self._layer_tables is None:
             nn = self.n_nodes
+            word_bits = KEY_WORD_BITS
+            e = np.arange(self.n)
+            words, shifts = e // word_bits, word_bits - 1 - e % word_bits
+            edge_keys = np.zeros((-(-self.n // word_bits), self.n), dtype=np.int64)
+            edge_keys[words, e] = np.left_shift(1, shifts, dtype=np.int64)
             masks = np.arange(1, 1 << nn, 2)
             bits = (masks[:, None] >> np.arange(1, nn)) & 1    # nodes 1 .. nn-1
             sizes = bits.sum(axis=1) + 1
             layers = []
+            # a state's position in its layer; the start state (mask 1, last 0) is 0
+            at = np.zeros(self.row_table_entries, dtype=np.intp)
 
-            def ways_first(table, dtype):   # (masks, nxt, ways in) -> (ways in, states)
-                return np.ascontiguousarray(table.reshape(-1, table.shape[-1]).T, dtype=dtype)
+            def ways_first(table):   # (masks, nxt, ways in) -> (ways in, states)
+                return np.ascontiguousarray(table.reshape(-1, table.shape[-1]).T,
+                                            dtype=np.int32)
 
             for size in range(2, nn + 1):
                 ms = masks[sizes == size]
@@ -538,30 +485,12 @@ class DenseTSP:
                     others = [[i for i in range(size - 1) if i != j] for j in range(size - 1)]
                     ways = nxt[:, others]
                 prev = ms[:, None] ^ (1 << nxt)
-                layers.append((
-                    ((ms[:, None] >> 1) * nn + nxt).ravel(),
-                    ways_first((prev[:, :, None] >> 1) * nn + ways, np.int32),
-                    ways_first(ways, np.int8),
-                    ways_first(self._pair_matrix[ways, nxt[:, :, None]], np.int32)))
-            self._layer_tables = layers
+                edges = ways_first(self._pair_matrix[ways, nxt[:, :, None]])
+                layers.append((ways_first(at[(prev[:, :, None] >> 1) * nn + ways]), edges,
+                               edge_keys.take(edges, axis=1)[..., None]))
+                at[((ms[:, None] >> 1) * nn + nxt).ravel()] = np.arange(nxt.size)
+            self._layer_tables = (layers, edge_keys, words, shifts)
         return self._layer_tables
-
-    def _path_edges(self, pred, mask, last):
-        """Edges of the stored path from node 0 through ``mask`` to ``last``."""
-        edges = []
-        while mask != 1:
-            prev = pred[mask][last]
-            edges.append(self.pair_index(prev, last))
-            mask ^= 1 << last
-            last = prev
-        return edges
-
-    def _lex_less(self, pred, mask, a, b, nxt):
-        """Whether the stored path through ``mask`` ending at ``a``, extended
-        to ``nxt``, has a lex-smaller support than the one ending at ``b``."""
-        sa = self._path_edges(pred, mask, a) + [self.pair_index(a, nxt)]
-        sb = self._path_edges(pred, mask, b) + [self.pair_index(b, nxt)]
-        return sorted(sa) < sorted(sb)
 
     def canonical_tours(self):
         """All tours as node orders anchored at 0, with the direction whose
@@ -643,16 +572,13 @@ class SelectOne:
         return f"select:{self.n}"
 
     def solve_nominal(self, costs: np.ndarray) -> np.ndarray:
-        bits = np.zeros(self.n)
-        bits[int(np.argmin(costs))] = 1.0  # argmin keeps the smallest index on ties
-        return bits
+        return self.solve_nominal_batch(costs[None])[0]
 
-    def solve_nominal_batch(self, C: np.ndarray):
-        """Row-wise ``argmin``, which already applies the tie rule: no row is
-        ever flagged."""
+    def solve_nominal_batch(self, C: np.ndarray) -> np.ndarray:
+        """Row-wise ``argmin``, which keeps the smallest index on ties."""
         X = np.zeros(C.shape)
         X[np.arange(C.shape[0]), np.argmin(C, axis=1)] = 1.0
-        return X, np.zeros(C.shape[0], dtype=bool)
+        return X
 
     def top_k(self, costs: np.ndarray, k: int):
         order = sorted(range(self.n), key=lambda i: (costs[i], i))
@@ -683,21 +609,15 @@ def solve(inst, costs, audit: Optional[OracleAudit] = None) -> np.ndarray:
 def solve_batch(inst, costs, audit: Optional[OracleAudit] = None) -> np.ndarray:
     """Row ``i`` of the result is ``solve(inst, costs[i])``, for every row of
     the ``(B, n)`` cost batch; counts ``B`` nominal solves.  Rows run in
-    blocks of at most :data:`BATCH_TABLE_ENTRIES` DP table entries.  Grid
-    rows never fall back; TSP rows that meet an exact tie are re-solved by
-    the scalar Held-Karp."""
+    blocks of at most :data:`BATCH_TABLE_ENTRIES` DP table entries through
+    the instance's one batched DP, which applies the tie rule itself."""
     C = _check_costs(inst, costs, ndim=2)
     X = np.zeros(C.shape)
     block = max(1, BATCH_TABLE_ENTRIES // inst.row_table_entries)
-    fallback = 0
     for lo in range(0, C.shape[0], block):
-        part = C[lo:lo + block]
-        X[lo:lo + block], tied = inst.solve_nominal_batch(part)
-        for i in np.flatnonzero(tied).tolist():
-            X[lo + i] = inst.solve_nominal(part[i])
-        fallback += int(tied.sum())
+        X[lo:lo + block] = inst.solve_nominal_batch(C[lo:lo + block])
     if audit is not None:
-        audit.add(C.shape[0], fallback)
+        audit.add(C.shape[0])
     return X
 
 

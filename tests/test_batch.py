@@ -1,26 +1,28 @@
 """Batched solves and batched training equal their per-row forms, bit for bit.
 
 ``solve_batch`` must return, row for row, what ``solve`` returns, and count
-one nominal solve per row.  Grid rows never fall back: the grid's one DP
-applies the tie rule itself.  TSP rows that meet an exact tie, and only
-those, are re-solved by the scalar Held-Karp; the batched Held-Karp pass
-itself, before any fallback, is checked against a plain-Python form of it.
-The batched training path rests on four numpy identities, pinned here so
-that a numpy upgrade breaking one fails the suite.
+one nominal solve per row.  Each instance has one DP that applies the tie
+rule itself; for TSP that is one Held-Karp, whose ``solve`` is its one-row
+call, so its tie rule is checked against enumeration of every tour, with
+one and with several words per support key.  The batched training path
+rests on four numpy identities, pinned here so that a numpy upgrade
+breaking one fails the suite.
 """
 
 import numpy as np
 import pytest
 
+import bruteforce as bf
+import dflkit.oracles as oracles
 from dflkit.core import DimensionError, RngStream
 from dflkit.datagen import GenParams, generate_splits
 from dflkit.learning import (pfyl_batch_gradient, pfyl_gradient,
                              spo_plus_batch_gradient, spo_plus_gradient)
 from dflkit.oracles import (BIG_CUTOFF, DenseTSP, GridShortestPath, OracleAudit,
-                            SelectOne, solve, solve_batch)
+                            SelectOne, solve, solve_batch, top_k_solve)
 from dflkit.targets import KNN, build_targets
 
-from test_oracles import dyadic_near_ties
+from test_oracles import bits, dyadic_near_ties
 
 INSTANCES = [GridShortestPath(2, 2), GridShortestPath(5, 5), GridShortestPath(10, 10),
              DenseTSP(3), DenseTSP(6), DenseTSP(8), SelectOne(5)]
@@ -45,39 +47,6 @@ def per_row(inst, C):
     return np.array([solve(inst, c) for c in C]).reshape(C.shape)
 
 
-def first_way_held_karp(inst, c):
-    """One row of the batched Held-Karp pass in plain Python, before any
-    fallback: ``(decision, tied)``.  Each state keeps the lowest predecessor
-    node among its cheapest ways in, the tour closes from the lowest last
-    node at the minimum, and the row is tied when a state has two cheapest
-    ways in or the cheapest closings finish two different tours."""
-    nn = inst.n_nodes
-    d = [[c[inst.pair_index(i, j)] if i != j else 0.0 for j in range(nn)] for i in range(nn)]
-    cost, pred, tied = {(1, 0): 0.0}, {}, False
-    for mask in range(3, 1 << nn, 2):   # every predecessor mask is a smaller number
-        for nxt in range(1, nn):
-            if mask >> nxt & 1:
-                prev = mask ^ (1 << nxt)
-                ways = [(cost[prev, last] + d[last][nxt], last)
-                        for last in range(nn) if (prev, last) in cost]
-                best = min(value for value, _ in ways)
-                at_min = [last for value, last in ways if value == best]
-                tied |= len(at_min) > 1
-                cost[mask, nxt], pred[mask, nxt] = best, at_min[0]
-    full = (1 << nn) - 1
-    close = {last: cost[full, last] + d[last][0] for last in range(1, nn)}
-    tours = []
-    for last in [last for last, value in close.items() if value == min(close.values())]:
-        tour, mask = {inst.pair_index(last, 0)}, full
-        while mask != 1:
-            tour.add(inst.pair_index(pred[mask, last], last))
-            mask, last = mask ^ (1 << last), pred[mask, last]
-        tours.append(frozenset(tour))
-    x = np.zeros(inst.n)
-    x[sorted(tours[0])] = 1.0
-    return x, tied or len(set(tours)) > 1
-
-
 class TestBatchedEqualsPerRow:
     @pytest.mark.parametrize("kind", ["normal", "datagen", "integer", "dyadic"])
     @pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
@@ -91,38 +60,36 @@ class TestBatchedEqualsPerRow:
     @pytest.mark.parametrize("kind", ["normal", "datagen"])
     @pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
     def test_no_fallback_without_ties(self, inst, kind):
-        # about half of all TSP rows close a tour and its own reverse at
-        # equal cost; that is no tie and must not fall back
-        audit = OracleAudit()
-        solve_batch(inst, cost_rows(inst, kind), audit)
-        assert audit.fallback_count == 0
+        # rows without ties have one cheapest decision, which k-best
+        # ranks first; about half of all TSP rows close a tour and its own
+        # reverse at equal cost, which is no tie
+        C = cost_rows(inst, kind)
+        for c, x in zip(C, solve_batch(inst, C)):
+            best = top_k_solve(inst, c, 2)
+            assert x.tobytes() == best[0].tobytes()
+            if len(best) == 2:
+                assert float(c @ best[0]) < float(c @ best[1])
 
     @pytest.mark.parametrize("inst", [INSTANCES[2], INSTANCES[4], INSTANCES[5]],
                              ids=[IDS[2], IDS[4], IDS[5]])
     def test_integer_ties_all_fall_back(self, inst):
-        # every integer TSP row falls back; grid rows never do
+        # every integer TSP row has states with two cheapest ways in
         C = cost_rows(inst, "integer")
-        audit = OracleAudit()
-        assert solve_batch(inst, C, audit).tobytes() == per_row(inst, C).tobytes()
-        assert audit.fallback_count == (0 if inst.kind == "grid" else ROWS)
+        assert solve_batch(inst, C).tobytes() == per_row(inst, C).tobytes()
 
     @pytest.mark.parametrize("inst", [GridShortestPath(2, 2), GridShortestPath(5, 5),
                                       DenseTSP(4), DenseTSP(6)],
                              ids=["grid2x2", "grid5x5", "tsp4", "tsp6"])
     def test_constant_rows_all_fall_back(self, inst):
-        # constant TSP rows all fall back; grid rows never do
+        # every decision of a constant row ties
         C = np.repeat([[0.0], [1.0], [2.0]], inst.n, axis=1)
-        audit = OracleAudit()
-        X = solve_batch(inst, C, audit)
+        X = solve_batch(inst, C)
         assert X.tobytes() == per_row(inst, C).tobytes()
-        assert audit.fallback_count == (0 if inst.kind == "grid" else 3)
 
     def test_select_argmin_never_falls_back(self):
         inst = SelectOne(5)
         C = cost_rows(inst, "integer")
-        audit = OracleAudit()
-        assert solve_batch(inst, C, audit).tobytes() == per_row(inst, C).tobytes()
-        assert audit.fallback_count == 0
+        assert solve_batch(inst, C).tobytes() == per_row(inst, C).tobytes()
 
     def test_fallback_rows_are_the_tied_ones(self):
         # rows 1 and 3 tie (all tours cost the same; two tours close at the
@@ -132,11 +99,7 @@ class TestBatchedEqualsPerRow:
                       [3.0, 1.0, 2.0, 0.0, 5.0, 1.5], [0.2, 0.7, 0.2, 0.2, 0.2, 0.7]])
         audit = OracleAudit()
         assert solve_batch(inst, C, audit).tobytes() == per_row(inst, C).tobytes()
-        assert (audit.solve_count, audit.fallback_count) == (4, 2)
-        for row, tied in zip(C, [0, 1, 0, 1]):
-            one = OracleAudit()
-            solve_batch(inst, row[None], one)
-            assert one.fallback_count == tied
+        assert audit.solve_count == 4
 
     @pytest.mark.parametrize("row", [
         [0.2, 0.7, 0.2, 0.2, 0.2, 0.7],
@@ -145,42 +108,82 @@ class TestBatchedEqualsPerRow:
         # two different tours close at exactly the same cost, while rounding
         # keeps every DP state's ways in apart: only the closing rule sees it
         inst = DenseTSP(4 if len(row) == 6 else 5)
-        audit = OracleAudit()
-        X = solve_batch(inst, np.array([row]), audit)
+        X = solve_batch(inst, np.array([row]))
         assert X[0].tobytes() == solve(inst, row).tobytes()
-        assert audit.fallback_count == 1
 
     @pytest.mark.parametrize("kind", ["normal", "integer"])
     @pytest.mark.parametrize("inst", [DenseTSP(9), DenseTSP(10)], ids=["tsp:9", "tsp:10"])
     def test_law_across_blocks(self, inst, kind):
         # a 9-node block holds 28 rows and a 10-node block 12, so 60 rows
-        # span 3 and 5 blocks; every integer row falls back, no normal row does
+        # span 3 and 5 blocks
         C = cost_rows(inst, kind)
         audit = OracleAudit()
         X = solve_batch(inst, C, audit)
         assert X.tobytes() == per_row(inst, C).tobytes()
         assert audit.solve_count == ROWS
-        assert audit.fallback_count == (0 if kind == "normal" else ROWS)
-
-    @pytest.mark.parametrize("kind", ["normal", "integer", "dyadic"])
-    @pytest.mark.parametrize("nodes", [4, 5, 6, 7])
-    def test_pass_keeps_first_way_at_minimum(self, nodes, kind):
-        # the batched pass before any fallback: decisions and tie flags
-        inst = DenseTSP(nodes)
-        C = cost_rows(inst, kind)
-        X, tied = inst.solve_nominal_batch(C)
-        for c, x, flag in zip(C, X, tied.tolist()):
-            want_x, want_flag = first_way_held_karp(inst, c)
-            assert (x.tobytes(), flag) == (want_x.tobytes(), want_flag)
 
     def test_blocks_match_one_block(self, monkeypatch):
-        import dflkit.oracles as oracles
-
         inst = DenseTSP(6)
         C = cost_rows(inst, "normal")
         whole = solve_batch(inst, C)
         monkeypatch.setattr(oracles, "BATCH_TABLE_ENTRIES", inst.row_table_entries * 7)
         assert solve_batch(inst, C).tobytes() == whole.tobytes()
+
+
+class TestTSPTieRule:
+    """Held-Karp's exact tie rule on every tour of TSP 4 to 8, and on the
+    convex-position tours of 12 to 16 nodes, whose keys take two words."""
+
+    @staticmethod
+    def tie_rows(inst, kind, rows):
+        rng = np.random.default_rng(inst.n_nodes)
+        if kind == "integer":
+            return rng.integers(0, 3, size=(rows, inst.n)).astype(float)
+        if kind == "dyadic":
+            return np.array([dyadic_near_ties(rng, inst.n) for _ in range(rows)])
+        return np.repeat([[0.0], [1.0], [2.0], [-0.75]], inst.n, axis=1)
+
+    @staticmethod
+    def check_bruteforce(inst, C):
+        tours = bf.tsp_tours(inst.n_nodes)
+        for c, x in zip(C, solve_batch(inst, C)):
+            want = bf.best_decision(tours, bf.exact_costs(c))
+            assert bits(x) == want
+            assert bits(solve(inst, c)) == want
+
+    @pytest.mark.parametrize("kind", ["integer", "dyadic", "constant"])
+    @pytest.mark.parametrize("nodes", [4, 5, 6, 7, 8])
+    def test_batch_and_solve_match_exact_bruteforce(self, nodes, kind):
+        inst = DenseTSP(nodes)
+        self.check_bruteforce(inst, self.tie_rows(inst, kind, 40 if nodes < 8 else 12))
+
+    @pytest.mark.parametrize("nodes", [4, 5, 6, 7])
+    def test_several_key_words(self, nodes, monkeypatch):
+        monkeypatch.setattr(oracles, "KEY_WORD_BITS", 3)
+        inst = DenseTSP(nodes)                          # its tables read the patched width
+        assert len(inst._hk_layers()[1]) == -(-inst.n // 3) >= 2   # words per key
+        for kind in ("integer", "dyadic", "constant"):
+            self.check_bruteforce(inst, self.tie_rows(inst, kind, 20))
+
+    @pytest.mark.parametrize("nodes", [12, 14, 16])
+    def test_convex_position(self, nodes):
+        # points on a circle: the one optimal tour visits them in angular order
+        rng = np.random.default_rng(nodes)
+        inst = DenseTSP(nodes)
+        pairs = bf.tsp_pair_indices(nodes)
+        C, want = [], []
+        for _ in range(2):
+            labels = rng.permutation(nodes)
+            angles = 2 * np.pi * (np.arange(nodes) + rng.uniform(-0.3, 0.3, nodes)) / nodes
+            coords = [None] * nodes
+            for label, a in zip(labels.tolist(), angles.tolist()):
+                coords[label] = (np.cos(a), np.sin(a))
+            C.append(bf.euclidean_tsp_costs(coords))
+            tour = np.zeros(inst.n)
+            for a, b in zip(labels.tolist(), np.roll(labels, -1).tolist()):
+                tour[pairs[min(a, b), max(a, b)]] = 1.0
+            want.append(tour)
+        assert solve_batch(inst, np.array(C)).tobytes() == np.array(want).tobytes()
 
 
 class TestBatchEdges:
@@ -196,7 +199,7 @@ class TestBatchEdges:
         audit = OracleAudit()
         X = solve_batch(inst, np.zeros((0, inst.n)), audit)
         assert X.shape == (0, inst.n)
-        assert (audit.solve_count, audit.fallback_count) == (0, 0)
+        assert audit.solve_count == 0
 
     @pytest.mark.parametrize("shape", [(5,), (2, 6), (2, 4, 1), ()])
     def test_wrong_shape_rejected(self, shape):

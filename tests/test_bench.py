@@ -279,10 +279,17 @@ class TestSweepPreflight:
          r"problems\[0\]\.t_values is empty"),
         ({"t_values": []}, "t_values is empty"),
         ({"policies": []}, "policies is empty"),
+        ({"features": "abc"}, r"features: invalid literal for int\(\)"),
+        ({"t_values": ["x"]}, r"t_values: invalid literal for int\(\)"),
+        ({"epochs_by_t": {"100": "x"}}, r"epochs_by_t: invalid literal for int\(\)"),
+        ({"epochs_by_t": [1]}, "epochs_by_t: expected an object mapping t to epochs, got list"),
+        ({"seeds": 3}, "seeds: 'int' object is not iterable"),
+        ({"lr": None}, r"lr: float\(\) argument must be"),
     ], ids=["epochs", "batch_size", "pfyl_samples", "test_size", "features", "degree",
             "noise", "grid_v", "problem_kind", "topk_k", "knn_w", "ro_rho", "k_not_int",
             "no_problems", "no_noise_values", "no_methods", "no_seeds", "no_problem_t_values",
-            "no_t_values", "no_policies"])
+            "no_t_values", "no_policies", "features_not_int", "t_value_not_int",
+            "epochs_not_int", "epochs_not_object", "seeds_not_list", "lr_null"])
     def test_unrunnable_value(self, monkeypatch, changes, message):
         with pytest.raises(ValueError, match="^sweep config: " + message):
             self.run_unrunnable(monkeypatch, **changes)

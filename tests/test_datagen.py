@@ -163,7 +163,12 @@ class TestPersistence:
          r"costs\.csv: line 3: could not convert string to float: 'abc'"),
         (lambda d: _edit_line(d / "costs.csv", 2, lambda s: s[:s.rindex(",")]),
          r"costs\.csv: line 2: 11 values, header has 12"),
-    ], ids=["meta_field_type", "meta_not_object", "non_numeric_cell", "ragged_row"])
+        (lambda d: _edit_line(d / "costs.csv", 4, lambda s: s[:s.rindex(",") + 1] + "nan"),
+         r"costs\.csv: line 4: non-finite value 'nan'"),
+        (lambda d: _edit_line(d / "features.csv", 3, lambda s: "-Infinity" + s[s.index(","):]),
+         r"features\.csv: line 3: non-finite value '-Infinity'"),
+    ], ids=["meta_field_type", "meta_not_object", "non_numeric_cell", "ragged_row",
+            "nan_cell", "infinite_cell"])
     def test_malformed_file_is_named(self, tmp_path, tamper, message):
         save_dataset(self._random_ds(), tmp_path / "d")
         tamper(tmp_path / "d")

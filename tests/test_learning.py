@@ -391,6 +391,12 @@ class TestModelIO:
         with pytest.raises(ValueError, match="theta is not a numeric array"):
             load_model(path)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_theta_rejected(self, tmp_path, bad):
+        path = self._write(tmp_path / "m.json", [[1.0, bad], [0.5, 2.0]])
+        with pytest.raises(ValueError, match="m.json: theta has non-finite entries"):
+            load_model(path)
+
     def test_theta_must_be_matrix(self, tmp_path):
         path = self._write(tmp_path / "m.json", [1.0, 2.0])
         with pytest.raises(DimensionError, match="2-D"):

