@@ -44,8 +44,9 @@ class GenParams:
     def __post_init__(self):
         if self.deg < 1:
             raise ValueError("polynomial degree must be at least 1")
-        if self.noise_halfwidth < 0:
-            raise ValueError("noise half-width must be non-negative")
+        if not 0 <= self.noise_halfwidth < math.inf:
+            raise ValueError(
+                f"noise half-width must be non-negative and finite, got {self.noise_halfwidth}")
         if self.m < 1:
             raise ValueError("need at least one feature")
         if min(self.t_train, self.t_val, self.t_test) < 1:

@@ -210,6 +210,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be finite and non-negative, got {self.lr}")
         if self.pfyl_samples < 1:
             raise ValueError(
                 f"pfyl_samples must be at least 1, got {self.pfyl_samples}")
@@ -325,11 +327,17 @@ def train(cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset, inst,
     tr_opt_val = optimal_values(inst, train_ds.costs, eval_audit)
     va_opt_val = optimal_values(inst, val_ds.costs, eval_audit)
 
-    def split_pct(ds, opt_values) -> float:
+    def finite(pred, epoch, where):
+        if not np.isfinite(pred).all():
+            raise TrainingError(f"non-finite {where} predictions at epoch {epoch}")
+        return pred
+
+    def split_pct(ds, opt_values, epoch) -> float:
+        pred = finite(predictor.predict_batch(ds.features), epoch, "evaluation")
         pct = normalized_regret_pct(*decision_regret(
-            inst, predictor.predict_batch(ds.features), ds.costs, opt_values, eval_audit))
+            inst, pred, ds.costs, opt_values, eval_audit))
         if not math.isfinite(pct):
-            raise TrainingError("non-finite validation metric")
+            raise TrainingError(f"non-finite validation metric at epoch {epoch}")
         return pct
 
     features = train_ds.features
@@ -347,7 +355,8 @@ def train(cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset, inst,
         for lo in range(0, t, cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
             Z = features[batch]
-            chat = np.matmul(params["theta"][None], Z[:, :, None])[:, :, 0]
+            chat = finite(np.matmul(params["theta"][None], Z[:, :, None])[:, :, 0], epoch,
+                          "minibatch")
             if cfg.method == "spo+":
                 G = spo_plus_batch_gradient(xbars[batch], refs[batch], chat, inst,
                                             grad_audit)
@@ -363,8 +372,8 @@ def train(cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset, inst,
             g_theta = (G[:, :, None] * Z[:, None, :]).sum(axis=0)
             g_theta /= len(batch)
             adam_step(state, params, {"theta": g_theta})
-        train_pct = split_pct(train_ds, tr_opt_val)
-        val_pct = split_pct(val_ds, va_opt_val)
+        train_pct = split_pct(train_ds, tr_opt_val, epoch)
+        val_pct = split_pct(val_ds, va_opt_val, epoch)
         history.append(EpochStats(epoch=epoch, train_regret_pct=train_pct,
                                   val_regret_pct=val_pct))
         if val_pct < best_val:

@@ -25,14 +25,18 @@ Held-Karp sums each path from node 0 and breaks an exact tie between two
 ways into a state, or between two closing edges, by the paths' supports,
 which it carries as integer keys.
 
-Each instance has one DP, which applies the tie rule itself, so batched
-solves (:func:`solve_batch`) return, row for row, exactly what
-:func:`solve` returns.  The grid reads every path from one pass from the
-sink, walked in numpy for a batch and in Python for one row and for
-Lawler k-best.  Held-Karp reduces each popcount layer across its ways in,
-stored ways first, and keeps the largest support key at a state's
-minimum; a TSP :func:`solve` is its one-row call.  ``SelectOne`` takes a
-plain ``argmin``, which keeps the smallest index.
+Each instance has one nominal solver, its batched ``solve_nominal_batch``,
+which applies the tie rule itself; :func:`solve` is the one-row call of
+:func:`solve_batch`.  The grid reads every path from one pass from the
+sink, walked in numpy for a batch and in Python for Lawler k-best.
+Held-Karp reduces each popcount layer across its ways in, stored ways
+first, and keeps the largest support key at a state's minimum.
+``SelectOne`` takes a plain ``argmin``, which keeps the smallest index.
+
+The first decision of :func:`top_k_solve` is :func:`solve`'s wherever the
+float sums are exact, and always on the grid, whose k-best walks the same
+pass, and on ``SelectOne``.  TSP k-best sums each tour in index order, so
+on inexact costs it can rank near-tied tours otherwise than Held-Karp.
 """
 
 from __future__ import annotations
@@ -97,8 +101,12 @@ class UncertaintyParams:
     gamma: float
 
     def __post_init__(self):
-        if self.rho < 0 or self.gamma < 0:
-            raise ValueError("uncertainty parameters must be non-negative")
+        for name, value in (("rho", self.rho), ("gamma", self.gamma)):
+            if math.isnan(value) or (name == "rho" and math.isinf(value)):
+                raise ValueError(f"uncertainty parameter {name} cannot be {value}")
+            if value < 0:
+                raise ValueError(
+                    f"uncertainty parameters must be non-negative, got {name}={value}")
 
 
 def _check_costs(inst, costs, ndim: int = 1) -> np.ndarray:
@@ -128,10 +136,6 @@ def _check_decision(inst, x) -> np.ndarray:
         raise DimensionError(
             f"decision has shape {arr.shape}, instance expects length {inst.n}")
     return arr
-
-
-def _support(bits: np.ndarray) -> Tuple[int, ...]:
-    return tuple(np.flatnonzero(bits).tolist())
 
 
 def _binary_support(x: np.ndarray) -> Optional[Tuple[int, ...]]:
@@ -172,7 +176,7 @@ class GridShortestPath:
         self.n = self.v * (self.h - 1) + self.h * (self.v - 1)
         self._n_h = self.v * (self.h - 1)
         self.row_table_entries = self.v * self.h + 1  # solve_batch's per-row DP table
-        self._tables = self._steps = None  # built by _pass_tables
+        self._tables = None  # built by _pass_tables
 
     def _h_idx(self, r: int, c: int) -> int:
         return r * (self.h - 1) + c
@@ -212,7 +216,6 @@ class GridShortestPath:
                               slice(len(order), len(order) + len(keys))))
                 order += keys
                 lo = hi
-            self._steps = (edges, heads)   # set first: a racing caller reads it
             self._tables = (waves, np.array([edges[key] for key in order]),
                             np.array(edges), np.array(heads))
         return self._tables
@@ -239,12 +242,6 @@ class GridShortestPath:
 
     # -- nominal solve -----------------------------------------------------
 
-    def solve_nominal(self, costs: np.ndarray) -> np.ndarray:
-        _, down = self._suffix_pass(costs[None])
-        bits = np.zeros(self.n)
-        bits[self._best_path(self.v * self.h - 1, down[:, 0].tolist())] = 1.0
-        return bits
-
     def solve_nominal_batch(self, C: np.ndarray) -> np.ndarray:
         """Every row's path, read from the source after one
         :meth:`_suffix_pass`."""
@@ -262,10 +259,10 @@ class GridShortestPath:
         X[idx, path] = 1.0
         return X
 
-    def _best_path(self, p: int, down: List[bool]) -> List[int]:
-        """Edges of one row's best path from position ``p`` to the sink;
-        ``down`` is that row's column of the pass, as a list."""
-        edges, heads = self._steps
+    @staticmethod
+    def _best_path(p: int, down: List[bool], edges: List[int], heads: List[int]) -> List[int]:
+        """Edges of one row's best path from position ``p`` to the sink; ``down``
+        is that row's column of the pass, all three tables as lists."""
         path = []
         while p:
             key = 2 * p + down[p]
@@ -286,9 +283,10 @@ class GridShortestPath:
         c = costs.tolist()
         dist, down = self._suffix_pass(costs[None])
         dist, down = dist[:, 0].tolist(), down[:, 0].tolist()
-        edges, heads = self._steps
+        _, _, edges, heads = self._pass_tables()
+        edges, heads = edges.tolist(), heads.tolist()
         source, pad = self.v * self.h - 1, self.v * self.h
-        path = self._best_path(source, down)
+        path = self._best_path(source, down, edges, heads)
         # (cost summed from the sink, support, path, forced length, excluded edges)
         heap = [(dist[source], tuple(sorted(path)), path, 0, frozenset())]
         solves, results = 1, []
@@ -312,7 +310,7 @@ class GridShortestPath:
                         for f in reversed(path[:j]):
                             total = c[f] + total
                         sub = path[:j] + [edges[other]] + self._best_path(
-                            heads[other], down)
+                            heads[other], down, edges, heads)
                         heapq.heappush(heap, (total, tuple(sorted(sub)), sub, j, blocked))
                 p = heads[key]
         return results, solves
@@ -411,9 +409,6 @@ class DenseTSP:
         return f"tsp:{self.n_nodes},coords={pts}"
 
     # -- nominal solve -----------------------------------------------------
-
-    def solve_nominal(self, costs: np.ndarray) -> np.ndarray:
-        return self.solve_nominal_batch(costs[None])[0]
 
     def solve_nominal_batch(self, C: np.ndarray) -> np.ndarray:
         """Held-Karp over every row of ``C`` at once, one popcount layer of
@@ -571,9 +566,6 @@ class SelectOne:
     def descriptor(self) -> str:
         return f"select:{self.n}"
 
-    def solve_nominal(self, costs: np.ndarray) -> np.ndarray:
-        return self.solve_nominal_batch(costs[None])[0]
-
     def solve_nominal_batch(self, C: np.ndarray) -> np.ndarray:
         """Row-wise ``argmin``, which keeps the smallest index on ties."""
         X = np.zeros(C.shape)
@@ -581,13 +573,11 @@ class SelectOne:
         return X
 
     def top_k(self, costs: np.ndarray, k: int):
-        order = sorted(range(self.n), key=lambda i: (costs[i], i))
-        out = []
-        for i in order[:k]:
-            bits = np.zeros(self.n)
-            bits[i] = 1.0
-            out.append(bits)
-        return out, 1
+        """Options ranked by ``(cost, index)`` in one stable sort; one solve."""
+        order = np.argsort(costs, kind="stable")[:k]
+        X = np.zeros((len(order), self.n))
+        X[np.arange(len(order)), order] = 1.0
+        return list(X), 1
 
     def is_feasible(self, x: np.ndarray) -> bool:
         used = _binary_support(x)
@@ -599,11 +589,9 @@ class SelectOne:
 # ---------------------------------------------------------------------------
 
 def solve(inst, costs, audit: Optional[OracleAudit] = None) -> np.ndarray:
-    """Minimum-cost feasible decision (ties per the module tie rule)."""
-    c = _check_costs(inst, costs)
-    if audit is not None:
-        audit.add(1)
-    return inst.solve_nominal(c)
+    """Minimum-cost feasible decision (ties per the module tie rule): the
+    one-row call of :func:`solve_batch`, counting one nominal solve."""
+    return solve_batch(inst, _check_costs(inst, costs)[None], audit)[0]
 
 
 def solve_batch(inst, costs, audit: Optional[OracleAudit] = None) -> np.ndarray:
@@ -624,7 +612,8 @@ def solve_batch(inst, costs, audit: Optional[OracleAudit] = None) -> np.ndarray:
 def top_k_solve(inst, costs, k: int, audit: Optional[OracleAudit] = None) -> List[np.ndarray]:
     """The distinct feasible decisions with the ``k`` smallest costs, sorted
     by non-decreasing cost (ties per the tie rule).  Returns fewer than ``k``
-    when the instance has fewer feasible decisions."""
+    when the instance has fewer feasible decisions.  The first is
+    :func:`solve`'s wherever the float sums are exact (see the module)."""
     if k < 1:
         raise ValueError("k must be at least 1")
     c = _check_costs(inst, costs)
@@ -673,18 +662,17 @@ def robust_solve(inst, costs, u: UncertaintyParams,
     cardinality budget, so the documented solve count is exactly the number
     of distinct thresholds.  Every candidate is then re-evaluated with the
     exact fractional-knapsack worst case, which also guards the non-integer
-    budget corner; ties break by the module tie rule.
+    budget corner; ties break by the module tie rule.  At ``rho = 0`` the
+    one threshold 0 leaves ``c`` as it is: :func:`solve`'s result, one solve.
     """
     c = _check_costs(inst, costs)
-    if u.rho == 0.0:
-        return solve(inst, c, audit)
     devs = u.rho * np.abs(c)
     thresholds = np.array(sorted({0.0, *(float(dv) for dv in devs)}))
     adjusted = c + np.maximum(devs - thresholds[:, None], 0.0)
     best = None
     seen = set()
     for cand in solve_batch(inst, adjusted, audit):
-        key = _support(cand)
+        key = _binary_support(cand)
         if key in seen:
             continue
         seen.add(key)

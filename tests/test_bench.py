@@ -285,11 +285,26 @@ class TestSweepPreflight:
         ({"epochs_by_t": [1]}, "epochs_by_t: expected an object mapping t to epochs, got list"),
         ({"seeds": 3}, "seeds: 'int' object is not iterable"),
         ({"lr": None}, r"lr: float\(\) argument must be"),
+        ({"lr": float("nan")}, "lr must be finite and non-negative, got nan"),
+        ({"lr": float("inf")}, "lr must be finite and non-negative, got inf"),
+        ({"lr": -0.01}, "lr must be finite and non-negative, got -0.01"),
+        ({"noise_values": [float("nan")]},
+         "noise half-width must be non-negative and finite, got nan"),
+        ({"noise_values": [float("inf")]},
+         "noise half-width must be non-negative and finite, got inf"),
+        ({"policies": [{"kind": "ro", "rho": float("nan"), "gamma": 1}]},
+         r"policies\[0\]: uncertainty parameter rho cannot be nan"),
+        ({"policies": [{"kind": "ro", "rho": 0.5, "gamma": float("nan")}]},
+         r"policies\[0\]: uncertainty parameter gamma cannot be nan"),
+        ({"policies": [{"kind": "ro", "rho": float("inf"), "gamma": 1}]},
+         r"policies\[0\]: uncertainty parameter rho cannot be inf"),
     ], ids=["epochs", "batch_size", "pfyl_samples", "test_size", "features", "degree",
             "noise", "grid_v", "problem_kind", "topk_k", "knn_w", "ro_rho", "k_not_int",
             "no_problems", "no_noise_values", "no_methods", "no_seeds", "no_problem_t_values",
             "no_t_values", "no_policies", "features_not_int", "t_value_not_int",
-            "epochs_not_int", "epochs_not_object", "seeds_not_list", "lr_null"])
+            "epochs_not_int", "epochs_not_object", "seeds_not_list", "lr_null",
+            "lr_nan", "lr_inf", "lr_negative", "noise_nan", "noise_inf", "ro_rho_nan",
+            "ro_gamma_nan", "ro_rho_inf"])
     def test_unrunnable_value(self, monkeypatch, changes, message):
         with pytest.raises(ValueError, match="^sweep config: " + message):
             self.run_unrunnable(monkeypatch, **changes)

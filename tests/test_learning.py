@@ -5,6 +5,7 @@ import pytest
 
 from dflkit.bench import eval_regret
 from dflkit.core import Dataset, DatasetMeta, DimensionError, RngStream
+from dflkit.datagen import GenParams, generate_splits
 from dflkit.learning import (AdamState, LinearPredictor, TrainConfig,
                              TrainingError, adam_step, load_model, loss_value,
                              mse_gradient, pfyl_gradient, save_model,
@@ -313,6 +314,21 @@ class TestTrain:
         with pytest.raises((TrainingError, ValueError)):
             train(cfg, tr, va, inst, bad)
 
+    @pytest.mark.parametrize("batch_size, where", [(4, "minibatch"),
+                                                   (32, "evaluation")])
+    def test_exploding_predictions_name_the_epoch(self, batch_size, where):
+        # one Adam step of lr=1e308 sends theta to about 1e308, so the next
+        # predictions overflow: in the second minibatch when there is one,
+        # else in the epoch's evaluation
+        inst = GridShortestPath(3, 3)
+        tr, va, _ = generate_splits(inst, GenParams(t_train=20, t_val=10, t_test=1))
+        ts = build_targets(Empirical(), tr, inst)
+        cfg = TrainConfig(method="spo+", policy=Empirical(), epochs=2, lr=1e308,
+                          batch_size=batch_size)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                TrainingError, match=f"^non-finite {where} predictions at epoch 1$"):
+            train(cfg, tr, va, inst, ts)
+
     def test_policy_mismatch_rejected(self):
         inst, tr, va = tiny_problem()
         ts = build_targets(Empirical(), tr, inst)
@@ -331,6 +347,14 @@ class TestTrainConfig:
 
     def test_sigma_zero_allowed(self):
         TrainConfig(method="pfyl", policy=Empirical(), epochs=1, pfyl_sigma=0.0)
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -float("inf"), -0.01])
+    def test_bad_lr_rejected(self, lr):
+        with pytest.raises(ValueError, match="^lr must be finite and non-negative, got "):
+            TrainConfig(method="mse", policy=None, epochs=1, lr=lr)
+
+    def test_lr_zero_allowed(self):
+        TrainConfig(method="mse", policy=None, epochs=1, lr=0.0)
 
     @pytest.mark.parametrize("method", ["spo+", "pfyl"])
     def test_policy_required_unless_mse(self, method):

@@ -28,7 +28,7 @@ class TestGridSolve:
 
     def test_matches_bruteforce_random(self):
         rng = np.random.default_rng(11)
-        for v, h in [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)]:
+        for v, h in [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (5, 5)]:
             inst = GridShortestPath(v, h)
             paths = bf.grid_paths(v, h)
             for _ in range(40):
@@ -315,6 +315,24 @@ class TestWorstCase:
 
 
 class TestRobustSolve:
+    @pytest.mark.parametrize("rho, gamma, message", [
+        (np.nan, 1.0, "uncertainty parameter rho cannot be nan"),
+        (0.5, np.nan, "uncertainty parameter gamma cannot be nan"),
+        (np.inf, 1.0, "uncertainty parameter rho cannot be inf"),
+        (-np.inf, 1.0, "uncertainty parameter rho cannot be -inf"),
+        (-0.5, 1.0, "uncertainty parameters must be non-negative, got rho=-0.5"),
+        (0.5, -1.0, "uncertainty parameters must be non-negative, got gamma=-1.0"),
+    ])
+    def test_hostile_params_rejected(self, rho, gamma, message):
+        # NaN fails every comparison, so an unchecked NaN gamma reads as no deviation
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            UncertaintyParams(rho, gamma)
+
+    def test_unbounded_budget_allowed(self):
+        u = UncertaintyParams(0.5, np.inf)
+        assert bits(robust_solve(GRID22, [1, 5, 1, 1], u)) == \
+            bits(robust_solve(GRID22, [1, 5, 1, 1], UncertaintyParams(0.5, 4.0)))
+
     def test_grid_example(self):
         u = UncertaintyParams(rho=0.5, gamma=1.0)
         assert bits(robust_solve(GRID22, [1, 5, 1, 1], u)) == (1, 0, 0, 1)
@@ -446,12 +464,22 @@ class TestExactNearTies:
             got = [bits(x) for x in top_k_solve(inst, c, k)]
             assert got == bf.k_best_decisions(decisions, exact, k)
 
-    @pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
-    def test_consistency_laws(self, inst):
+    LAW_IDS = IDS + ["grid5x5", "tsp8"]
+    LAW_INSTANCES = INSTANCES + [GridShortestPath(5, 5), DenseTSP(8)]
+
+    # top-1 equals solve wherever the float sums are exact, which dyadic and
+    # integer rows guarantee
+    @pytest.mark.parametrize("inst,rows", [
+        (inst, rows) for inst in LAW_INSTANCES for rows in ("dyadic", "integer")],
+        ids=[name + suffix for name in LAW_IDS for suffix in ("", "-integer")])
+    def test_consistency_laws(self, inst, rows):
         rng = np.random.default_rng(101)
         u = UncertaintyParams(rho=0.0, gamma=1.0)
         for _ in range(300):
-            c = dyadic_near_ties(rng, inst.n)
+            if rows == "dyadic":
+                c = dyadic_near_ties(rng, inst.n)
+            else:
+                c = rng.integers(0, 3, size=inst.n).astype(float)
             x = bits(solve(inst, c))
             assert bits(top_k_solve(inst, c, 1)[0]) == x
             assert bits(robust_solve(inst, c, u)) == x
