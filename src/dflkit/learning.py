@@ -43,8 +43,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from .targets import (Empirical, KNN, RobustOpt, SampleTargets, TargetPolicy,
 
 
 class TrainingError(RuntimeError):
-    """Raised when training hits a non-finite loss or gradient."""
+    """Raised on predictions the oracle rejects, or a non-finite gradient or metric."""
 
 
 @dataclass
@@ -151,40 +151,35 @@ def loss_value(policy: TargetPolicy, ts_i: SampleTargets, chat: np.ndarray,
 
 @dataclass
 class AdamState:
-    """Standard bias-corrected Adam."""
+    """Standard bias-corrected Adam over one parameter array; the moments
+    start as the scalar 0.0, which adds exactly as zeros of its shape would."""
 
     lr: float = 0.01
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m1: Dict[str, np.ndarray] = field(default_factory=dict)
-    m2: Dict[str, np.ndarray] = field(default_factory=dict)
+    m1: Union[float, np.ndarray] = 0.0
+    m2: Union[float, np.ndarray] = 0.0
 
 
-def adam_step(state: AdamState, params: Dict[str, np.ndarray],
-              grads: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    """One in-place Adam update; returns ``params`` for convenience."""
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for parameter {name!r}")
-        if g.shape != params[name].shape:
-            raise DimensionError(f"gradient shape mismatch for {name!r}")
+def adam_step(state: AdamState, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """One in-place Adam update of ``theta`` by gradient ``g``; returns ``theta``."""
+    if not np.all(np.isfinite(g)):
+        raise TrainingError("non-finite parameter gradient")
+    if g.shape != theta.shape:
+        raise DimensionError(f"gradient shape {g.shape} != parameter shape {theta.shape}")
     state.step += 1
     b1 = state.beta1
     b2 = state.beta2
     corr1 = 1.0 - b1 ** state.step
     corr2 = 1.0 - b2 ** state.step
-    for name, g in grads.items():
-        if name not in state.m1:
-            state.m1[name] = np.zeros_like(params[name])
-            state.m2[name] = np.zeros_like(params[name])
-        state.m1[name] = b1 * state.m1[name] + (1.0 - b1) * g
-        state.m2[name] = b2 * state.m2[name] + (1.0 - b2) * (g * g)
-        m_hat = state.m1[name] / corr1
-        v_hat = state.m2[name] / corr2
-        params[name] -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return params
+    state.m1 = b1 * state.m1 + (1.0 - b1) * g
+    state.m2 = b2 * state.m2 + (1.0 - b2) * (g * g)
+    m_hat = state.m1 / corr1
+    v_hat = state.m2 / corr2
+    theta -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    return theta
 
 
 METHODS = ("spo+", "pfyl", "mse")
@@ -315,7 +310,6 @@ def train(cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset, inst,
 
     n, m = train_ds.meta.n, train_ds.meta.m
     predictor = LinearPredictor.zeros(n, m)
-    params = {"theta": predictor.theta}
     state = AdamState(lr=cfg.lr)
 
     grad_audit = OracleAudit()
@@ -332,10 +326,18 @@ def train(cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset, inst,
             raise TrainingError(f"non-finite {where} predictions at epoch {epoch}")
         return pred
 
+    def solved(where, epoch, engine, *args):
+        """``engine(*args)``, naming the epoch when the oracle rejects its costs."""
+        try:
+            return engine(*args)
+        except ValueError as exc:   # finite predictions past the oracle's cost bound
+            raise TrainingError(f"{where} predictions at epoch {epoch} fail the "
+                                f"oracle's cost checks: {exc}") from exc
+
     def split_pct(ds, opt_values, epoch) -> float:
         pred = finite(predictor.predict_batch(ds.features), epoch, "evaluation")
-        pct = normalized_regret_pct(*decision_regret(
-            inst, pred, ds.costs, opt_values, eval_audit))
+        pct = normalized_regret_pct(*solved("evaluation", epoch, decision_regret,
+                                            inst, pred, ds.costs, opt_values, eval_audit))
         if not math.isfinite(pct):
             raise TrainingError(f"non-finite validation metric at epoch {epoch}")
         return pct
@@ -355,14 +357,14 @@ def train(cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset, inst,
         for lo in range(0, t, cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
             Z = features[batch]
-            chat = finite(np.matmul(params["theta"][None], Z[:, :, None])[:, :, 0], epoch,
+            chat = finite(np.matmul(predictor.theta[None], Z[:, :, None])[:, :, 0], epoch,
                           "minibatch")
             if cfg.method == "spo+":
-                G = spo_plus_batch_gradient(xbars[batch], refs[batch], chat, inst,
-                                            grad_audit)
+                G = solved("minibatch", epoch, spo_plus_batch_gradient, xbars[batch],
+                           refs[batch], chat, inst, grad_audit)
             elif cfg.method == "pfyl":
-                G = pfyl_batch_gradient(xbars[batch], chat, inst, cfg.pfyl_samples,
-                                        cfg.pfyl_sigma, pfyl_stream, grad_audit)
+                G = solved("minibatch", epoch, pfyl_batch_gradient, xbars[batch], chat,
+                           inst, cfg.pfyl_samples, cfg.pfyl_sigma, pfyl_stream, grad_audit)
             else:
                 G = mse_gradient(costs[batch], chat)
             bad = ~np.isfinite(G).all(axis=1)
@@ -371,7 +373,7 @@ def train(cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset, inst,
                                     f"sample {batch[bad.argmax()]}")
             g_theta = (G[:, :, None] * Z[:, None, :]).sum(axis=0)
             g_theta /= len(batch)
-            adam_step(state, params, {"theta": g_theta})
+            adam_step(state, predictor.theta, g_theta)
         train_pct = split_pct(train_ds, tr_opt_val, epoch)
         val_pct = split_pct(val_ds, va_opt_val, epoch)
         history.append(EpochStats(epoch=epoch, train_regret_pct=train_pct,

@@ -14,16 +14,18 @@ Tie rule (applies everywhere, documented once): among equal-cost feasible
 decisions, return the one whose sorted list of used variable indices is
 lexicographically smallest, i.e. the decision that prefers low-numbered
 variables.  All feasible decisions of one instance use the same number of
-variables, so this order is total.  "Equal cost" means exact equality of
-the float64 sums the solver forms, with no tolerance, so wherever those sums
-are exact (integer or dyadic costs, for instance) the result is the rule
-above in exact arithmetic.  The grid DP sums each path from the sink and
-gives an exact tie between a cell's two moves to the right move, which is
-the rule made local; on near-ties whose sums are not exact, summing from the
-sink can rank two paths differently from summing from the source.
-Held-Karp sums each path from node 0 and breaks an exact tie between two
-ways into a state, or between two closing edges, by the paths' supports,
-which it carries as integer keys.
+variables, so this order is total, and it is the order of their 0/1 rows
+from the lexicographically largest down; the candidate lists of TSP k-best
+and of the robust counterpart are ranked that way.  "Equal cost" means
+exact equality of the float64 sums the solver forms, with no tolerance, so
+wherever those sums are exact (integer or dyadic costs, for instance) the
+result is the rule above in exact arithmetic.  The grid DP sums each path
+from the sink and gives an exact tie between a cell's two moves to the right
+move, which is the rule made local; on near-ties whose sums are not exact,
+summing from the sink can rank two paths differently from summing from the
+source.  Held-Karp sums each path from node 0 and breaks an exact tie
+between two ways into a state, or between two closing edges, by the paths'
+supports, which it carries as integer keys.
 
 Each instance has one nominal solver, its batched ``solve_nominal_batch``,
 which applies the tie rule itself; :func:`solve` is the one-row call of
@@ -114,15 +116,14 @@ def _check_costs(inst, costs, ndim: int = 1) -> np.ndarray:
     as float64, rejecting wrong shapes, non-finite entries and magnitudes
     that would let a decision's summed |cost| reach :data:`BIG_CUTOFF`."""
     c = np.asarray(costs, dtype=np.float64)
+    what = "vector" if ndim == 1 else "batch"
     if c.ndim != ndim or c.shape[-1] != inst.n:
         want = f"length {inst.n}" if ndim == 1 else f"(rows, {inst.n})"
-        raise DimensionError(
-            f"cost {'vector' if ndim == 1 else 'batch'} has shape {c.shape}, "
-            f"instance expects {want}")
+        raise DimensionError(f"cost {what} has shape {c.shape}, instance expects {want}")
     # one reduction serves both checks: NaN and inf propagate through max
     biggest = float(np.abs(c).max(initial=0.0))
     if not math.isfinite(biggest):
-        raise ValueError("cost vector contains non-finite entries")
+        raise ValueError(f"cost {what} contains non-finite entries")
     if biggest * (inst.n + 1) >= BIG_CUTOFF:
         raise ValueError(
             "cost magnitudes too large: every decision's summed |cost| must stay "
@@ -274,12 +275,12 @@ class GridShortestPath:
 
     def top_k(self, costs: np.ndarray, k: int):
         """Lawler partitioning (Lawler 1972) over one :meth:`_suffix_pass`.
-        A popped path spawns one subproblem per position ``j`` from the end
-        of its forced prefix on, forcing its first ``j`` edges and excluding
-        edge ``j``.  Exclusions only leave the end cell of a forced prefix,
-        so a subproblem's answer is the prefix, that cell's other move (if
-        any is left) and the stored best path on.  Each subproblem counts as
-        one nominal solve: ``1 + (number spawned)`` in all."""
+        A popped path is one subproblem per position ``j`` from the end of
+        its forced prefix on, forcing its first ``j`` edges and excluding
+        edge ``j``; its answer is the prefix, the cell's other move and the
+        stored best path on.  A path that deviated at the end of its forced
+        prefix has both moves out of that cell excluded there, so that
+        subproblem is empty.  Each subproblem counts as one nominal solve."""
         c = costs.tolist()
         dist, down = self._suffix_pass(costs[None])
         dist, down = dist[:, 0].tolist(), down[:, 0].tolist()
@@ -287,31 +288,28 @@ class GridShortestPath:
         edges, heads = edges.tolist(), heads.tolist()
         source, pad = self.v * self.h - 1, self.v * self.h
         path = self._best_path(source, down, edges, heads)
-        # (cost summed from the sink, support, path, forced length, excluded edges)
-        heap = [(dist[source], tuple(sorted(path)), path, 0, frozenset())]
+        # (cost summed from the sink, support, path, forced length, deviated)
+        heap = [(dist[source], tuple(sorted(path)), path, 0, False)]
         solves, results = 1, []
         while heap and len(results) < k:
-            _cost, _supp, path, forced, excluded = heapq.heappop(heap)
+            _cost, _supp, path, forced, deviated = heapq.heappop(heap)
             bits = np.zeros(self.n)
             bits[path] = 1.0
             results.append(bits)
             if len(results) == k:
                 break
+            solves += len(path) - forced
             p = source
             for j, e in enumerate(path):
                 key = 2 * p + (e >= self._n_h)   # vertical edges are the down moves
-                if j >= forced:
-                    blocked = (excluded if j == forced else frozenset()) | {e}
-                    solves += 1
-                    for other in (2 * p, 2 * p + 1):
-                        if heads[other] == pad or edges[other] in blocked:
-                            continue
-                        total = c[edges[other]] + dist[heads[other]]
-                        for f in reversed(path[:j]):
-                            total = c[f] + total
-                        sub = path[:j] + [edges[other]] + self._best_path(
-                            heads[other], down, edges, heads)
-                        heapq.heappush(heap, (total, tuple(sorted(sub)), sub, j, blocked))
+                other = key ^ 1
+                if j >= forced + deviated and heads[other] != pad:
+                    total = c[edges[other]] + dist[heads[other]]
+                    for f in reversed(path[:j]):
+                        total = c[f] + total
+                    sub = path[:j] + [edges[other]] + self._best_path(
+                        heads[other], down, edges, heads)
+                    heapq.heappush(heap, (total, tuple(sorted(sub)), sub, j, True))
                 p = heads[key]
         return results, solves
 
@@ -368,7 +366,7 @@ class DenseTSP:
 
     Decision variables are unordered pairs; a tour's incidence vector is
     direction independent.  ``solve`` accepts up to 16 nodes, ``top_k`` up to
-    10 (exhaustive canonical-tour enumeration); both caps keep exactness at
+    10 (exhaustive tour enumeration); both caps keep exactness at
     desk scale.  ``coords`` are optional planar coordinates used only for the
     instance descriptor.
     """
@@ -388,19 +386,18 @@ class DenseTSP:
                 raise ValueError("coords length must equal n_nodes")
         self.coords = coords
         self._pairs = [(i, j) for i in range(self.n_nodes) for j in range(i + 1, self.n_nodes)]
-        self._pair_idx = {p: k for k, p in enumerate(self._pairs)}
         self._pair_matrix = np.zeros((self.n_nodes, self.n_nodes), dtype=np.intp)
         for k, (i, j) in enumerate(self._pairs):
             self._pair_matrix[i, j] = self._pair_matrix[j, i] = k
         # solve_batch's per-row DP size: one state per (odd mask, last node)
         self.row_table_entries = (1 << (self.n_nodes - 1)) * self.n_nodes
         self._layer_tables = None  # Held-Karp index arrays, built by _hk_layers
-        self._tours = None  # (tour matrix, support ranks), built by top_k
+        self._tours = None  # every tour, in tie order, built by top_k
 
     def pair_index(self, i: int, j: int) -> int:
-        if i == j:
-            raise ValueError("no self-loop variables")
-        return self._pair_idx[(i, j) if i < j else (j, i)]
+        if i == j or not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
+            raise ValueError(f"no variable joins nodes {i} and {j}")
+        return int(self._pair_matrix[i, j])
 
     def descriptor(self) -> str:
         if self.coords is None:
@@ -487,42 +484,31 @@ class DenseTSP:
             self._layer_tables = (layers, edge_keys, words, shifts)
         return self._layer_tables
 
-    def canonical_tours(self):
-        """All tours as node orders anchored at 0, with the direction whose
-        second node is smaller; each undirected tour appears exactly once."""
-        nn = self.n_nodes
-        for perm in itertools.permutations(range(1, nn)):
-            if perm[0] < perm[-1]:
-                yield (0,) + perm
-
     # -- k-best ------------------------------------------------------------
 
     def top_k(self, costs: np.ndarray, k: int):
-        """Exhaustive canonical-tour enumeration keeping a k-best set; the
-        single enumeration pass counts as one nominal evaluation.  The tours
-        are built once per instance as one read-only ``(tours, n)`` matrix,
-        with each tour's rank in lex order of sorted supports as its tie key;
-        callers get copies.  Two threads racing on the first call build equal
-        matrices."""
+        """Exhaustive tour enumeration keeping a k-best set; the single
+        enumeration pass counts as one nominal evaluation.  Every tour (node
+        orders from 0 whose second node is below their last, so each
+        undirected tour once) is built once per instance into one read-only
+        ``(tours, n)`` matrix whose rows are in lex order of sorted supports,
+        so one stable sort by cost applies the tie rule; callers get copies.
+        Two threads racing on the first call build equal matrices."""
         if self.n_nodes > self.TOPK_MAX_NODES:
             raise ValueError(
                 f"k-best TSP enumeration capped at {self.TOPK_MAX_NODES} nodes, "
                 f"instance has {self.n_nodes}")
         if self._tours is None:
-            supports = [sorted(self.pair_index(order[i - 1], order[i])
-                               for i in range(len(order)))
-                        for order in self.canonical_tours()]
+            supports = sorted(sorted(self._pair_matrix[(0,) + perm, (*perm, 0)].tolist())
+                              for perm in itertools.permutations(range(1, self.n_nodes))
+                              if perm[0] < perm[-1])
             tours = np.zeros((len(supports), self.n))
             tours[np.arange(len(supports))[:, None], supports] = 1.0
             tours.flags.writeable = False
-            ranks = np.empty(len(supports), dtype=np.intp)
-            ranks[sorted(range(len(supports)), key=supports.__getitem__)] = \
-                np.arange(len(supports))
-            self._tours = (tours, ranks)
-        tours, ranks = self._tours
-        scores = np.matmul(tours[:, None, :], costs[:, None])[:, 0, 0]
+            self._tours = tours
+        scores = np.matmul(self._tours[:, None, :], costs[:, None])[:, 0, 0]
         # copies keep callers from writing into the cached tour matrix
-        return [tours[i].copy() for i in np.lexsort((ranks, scores))[:k]], 1
+        return [self._tours[i].copy() for i in np.argsort(scores, kind="stable")[:k]], 1
 
     # -- feasibility -------------------------------------------------------
 
@@ -636,6 +622,11 @@ def worst_case_cost(inst, costs, x, u: UncertaintyParams) -> float:
     bits = _check_decision(inst, x)
     if not inst.is_feasible(bits):
         raise ValueError("decision is not feasible for this instance")
+    return _worst_case(c, bits, u)
+
+
+def _worst_case(c: np.ndarray, bits: np.ndarray, u: UncertaintyParams) -> float:
+    """:func:`worst_case_cost` of a checked cost vector and feasible decision."""
     used = c[bits != 0.0]
     terms = used.tolist()
     if u.rho > 0.0 and u.gamma > 0.0:
@@ -662,25 +653,18 @@ def robust_solve(inst, costs, u: UncertaintyParams,
     cardinality budget, so the documented solve count is exactly the number
     of distinct thresholds.  Every candidate is then re-evaluated with the
     exact fractional-knapsack worst case, which also guards the non-integer
-    budget corner; ties break by the module tie rule.  At ``rho = 0`` the
-    one threshold 0 leaves ``c`` as it is: :func:`solve`'s result, one solve.
+    budget corner.  The distinct candidates are ranked largest 0/1 row
+    first, which is the tie rule's order, and the first of equal worst cases
+    wins.  At ``rho = 0`` the one threshold 0 leaves ``c`` as it is:
+    :func:`solve`'s result, one solve.
     """
     c = _check_costs(inst, costs)
     devs = u.rho * np.abs(c)
     thresholds = np.array(sorted({0.0, *(float(dv) for dv in devs)}))
     adjusted = c + np.maximum(devs - thresholds[:, None], 0.0)
-    best = None
-    seen = set()
-    for cand in solve_batch(inst, adjusted, audit):
-        key = _binary_support(cand)
-        if key in seen:
-            continue
-        seen.add(key)
-        wcc = worst_case_cost(inst, c, cand, u)
-        rec = (wcc, key, cand)
-        if best is None or rec[:2] < best[:2]:
-            best = rec
-    return best[2]
+    X = solve_batch(inst, adjusted, audit)
+    candidates = np.array(sorted(set(map(tuple, X.tolist())), reverse=True))
+    return min(candidates, key=lambda x: _worst_case(c, x, u))
 
 
 def is_feasible(inst, x) -> bool:

@@ -14,7 +14,7 @@ estimator.  Distances are plain Euclidean in raw feature space, brute force.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -125,18 +125,14 @@ class SampleTargets:
     costs: np.ndarray       # (k, n)
     decisions: np.ndarray   # (k, n)
     ref_cost: np.ndarray    # (n,)
-    _mean: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.decisions.shape[0] < 1:
             raise ValueError("target list is empty")
-        mean = self.decisions.mean(axis=0)
-        mean.flags.writeable = False
-        object.__setattr__(self, "_mean", mean)
 
     def decision_mean(self) -> np.ndarray:
-        """Mean target decision, computed once at construction (read-only)."""
-        return self._mean
+        """Mean target decision, a new array on each call."""
+        return self.decisions.mean(axis=0)
 
 
 @dataclass(frozen=True)

@@ -211,11 +211,11 @@ class TestBatchEdges:
         inst = GridShortestPath(3, 3)
         C = np.ones((4, inst.n))
         C[2, 5] = bad
-        with pytest.raises(ValueError, match="non-finite") as batch_err:
+        # the same check, each message naming what it was given
+        with pytest.raises(ValueError, match="^cost batch contains non-finite entries$"):
             solve_batch(inst, C)
-        with pytest.raises(ValueError) as row_err:
+        with pytest.raises(ValueError, match="^cost vector contains non-finite entries$"):
             solve(inst, C[2])
-        assert str(batch_err.value) == str(row_err.value)
 
     def test_sentinel_sized_rejected_like_solve(self):
         inst = DenseTSP(5)

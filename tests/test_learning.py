@@ -179,29 +179,29 @@ class TestLossValue:
 
 class TestAdam:
     def test_zero_gradient_no_change(self):
-        params = {"theta": np.ones((2, 2))}
+        theta = np.ones((2, 2))
         st = AdamState(lr=0.01)
-        adam_step(st, params, {"theta": np.zeros((2, 2))})
-        assert np.array_equal(params["theta"], np.ones((2, 2)))
+        adam_step(st, theta, np.zeros((2, 2)))
+        assert np.array_equal(theta, np.ones((2, 2)))
 
     def test_first_step_closed_form(self):
-        params = {"theta": np.array([[0.0]])}
+        theta = np.array([[0.0]])
         st = AdamState(lr=0.01)
-        adam_step(st, params, {"theta": np.array([[1.0]])})
+        adam_step(st, theta, np.array([[1.0]]))
         expected = -0.01 * 1.0 / (1.0 + 1e-8)
-        assert params["theta"][0, 0] == pytest.approx(expected, rel=1e-12)
+        assert theta[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_lr(self):
-        params = {"theta": np.full((2,), 3.0)}
+        theta = np.full((2,), 3.0)
         st = AdamState(lr=0.0)
         for _ in range(2):
-            adam_step(st, params, {"theta": np.array([5.0, -1.0])})
-        assert np.array_equal(params["theta"], [3.0, 3.0])
+            adam_step(st, theta, np.array([5.0, -1.0]))
+        assert np.array_equal(theta, [3.0, 3.0])
 
     def test_nonfinite_gradient_aborts(self):
-        params = {"theta": np.zeros(2)}
+        theta = np.zeros(2)
         with pytest.raises(TrainingError):
-            adam_step(AdamState(), params, {"theta": np.array([np.nan, 0.0])})
+            adam_step(AdamState(), theta, np.array([np.nan, 0.0]))
 
 
 def tiny_problem(t=10, seed=0, n=3, m=2):
@@ -314,19 +314,27 @@ class TestTrain:
         with pytest.raises((TrainingError, ValueError)):
             train(cfg, tr, va, inst, bad)
 
-    @pytest.mark.parametrize("batch_size, where", [(4, "minibatch"),
-                                                   (32, "evaluation")])
-    def test_exploding_predictions_name_the_epoch(self, batch_size, where):
-        # one Adam step of lr=1e308 sends theta to about 1e308, so the next
-        # predictions overflow: in the second minibatch when there is one,
-        # else in the epoch's evaluation
+    @pytest.mark.parametrize("method, lr, batch_size, message", [
+        pytest.param("spo+", 1e308, 4, "non-finite minibatch predictions at epoch 1$",
+                     id="4-minibatch"),
+        pytest.param("spo+", 1e308, 32, "non-finite evaluation predictions at epoch 1$",
+                     id="32-evaluation"),
+        *(pytest.param(method, 1e200, batch_size,
+                       f"{where} predictions at epoch 1 fail the oracle's cost checks: "
+                       "cost magnitudes too large", id=f"{method}-{batch_size}-too-large")
+          for method in ("spo+", "pfyl")
+          for batch_size, where in ((4, "minibatch"), (32, "evaluation")))])
+    def test_exploding_predictions_name_the_epoch(self, method, lr, batch_size, message):
+        # one Adam step of lr sends theta to about lr, so the next predictions
+        # overflow (lr=1e308) or pass the oracle's cost bound (lr=1e200): in
+        # the second minibatch when there is one, else in the epoch's evaluation
         inst = GridShortestPath(3, 3)
         tr, va, _ = generate_splits(inst, GenParams(t_train=20, t_val=10, t_test=1))
         ts = build_targets(Empirical(), tr, inst)
-        cfg = TrainConfig(method="spo+", policy=Empirical(), epochs=2, lr=1e308,
+        cfg = TrainConfig(method=method, policy=Empirical(), epochs=2, lr=lr,
                           batch_size=batch_size)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                TrainingError, match=f"^non-finite {where} predictions at epoch 1$"):
+                TrainingError, match=f"^{message}"):
             train(cfg, tr, va, inst, ts)
 
     def test_policy_mismatch_rejected(self):

@@ -149,11 +149,16 @@ class TestTSP:
                 assert bits(solve(inst, c)) == bf.best_decision(tours, c)
 
     def test_all_ones_tie(self):
-        # every tour ties; lex rule picks the support-smallest tour
+        # every tour ties; lex rule picks the support-smallest tour, and
+        # k-best lists every tour in the rule's order
         inst = DenseTSP(4)
         got = bits(solve(inst, np.ones(6)))
         assert got == bf.best_decision(bf.tsp_tours(4), np.ones(6))
         assert got == (1, 1, 0, 0, 1, 1)
+        for nn in (4, 5):
+            inst, tours = DenseTSP(nn), bf.tsp_tours(nn)
+            got = [bits(x) for x in top_k_solve(inst, np.ones(inst.n), len(tours))]
+            assert got == bf.k_best_decisions(tours, np.ones(inst.n), len(tours))
 
     def test_integer_ties_match_bruteforce(self):
         rng = np.random.default_rng(43)
@@ -456,6 +461,8 @@ class TestExactNearTies:
     ], ids=IDS)
     def test_match_exact_bruteforce(self, inst, decisions, kmax):
         rng = np.random.default_rng(97)
+        # every worst case here is a sum of dyadic terms, exact in float64
+        u = UncertaintyParams(0.5, inst.n / 4)
         for trial in range(300):
             c = dyadic_near_ties(rng, inst.n)
             exact = bf.exact_costs(c)
@@ -463,6 +470,9 @@ class TestExactNearTies:
             k = 1 + trial % kmax
             got = [bits(x) for x in top_k_solve(inst, c, k)]
             assert got == bf.k_best_decisions(decisions, exact, k)
+            assert bits(robust_solve(inst, c, u)) == bf.brute_robust_best(
+                decisions, c, u.rho, u.gamma,
+                wcc=lambda d: worst_case_cost(inst, c, np.array(d, dtype=float), u))
 
     LAW_IDS = IDS + ["grid5x5", "tsp8"]
     LAW_INSTANCES = INSTANCES + [GridShortestPath(5, 5), DenseTSP(8)]

@@ -172,7 +172,10 @@ class TestSampleTargets:
         st = build_targets(KNN(k=2, w=1.0), ds, SelectOne(2)).per_sample[0]
         mean = st.decision_mean()
         assert np.array_equal(mean, st.decisions.mean(axis=0))
-        assert st.decision_mean() is mean and not mean.flags.writeable
+        assert np.array_equal(mean, [1.0, 0.0])
+        mean[:] = 7.0   # a caller's array: writing into it changes no target
+        assert np.array_equal(st.decision_mean(), [1.0, 0.0])
+        assert np.array_equal(st.decisions, [[1.0, 0.0], [1.0, 0.0]])
 
     def test_empty_target_list_rejected(self):
         with pytest.raises(ValueError):
