@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -198,12 +198,7 @@ class BiasDemoResult:
 
     def to_dict(self) -> dict:
         return {
-            "n_h": self.config.n_h,
-            "n_l": self.config.n_l,
-            "sigma_h": self.config.sigma_h,
-            "sigma_l": self.config.sigma_l,
-            "trials": self.config.trials,
-            "seed": self.config.seed,
+            **asdict(self.config),
             "counts": [int(k) for k in self.counts],
             "frequencies": [float(f) for f in self.frequencies],
             "high_mean_freq": self.high_mean_freq,

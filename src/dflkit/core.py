@@ -15,8 +15,8 @@ explicitly seeded :class:`RngStream` so experiments replay exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import MISSING, dataclass, fields
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -120,36 +120,21 @@ class DatasetMeta:
     split: str = ""
     noise_shared: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "instance": self.instance,
-            "m": self.m,
-            "n": self.n,
-            "t": self.t,
-            "seed": self.seed,
-            "noise_halfwidth": self.noise_halfwidth,
-            "degree": self.degree,
-            "split": self.split,
-            "noise_shared": self.noise_shared,
-        }
-
     @staticmethod
     def from_dict(d: dict) -> "DatasetMeta":
-        """Inverse of :meth:`to_dict`.  Raises ``KeyError`` for a missing
-        field and ``ValueError`` naming a field that does not convert."""
-        def field(name, kind, *default):
-            raw = d.get(name, *default) if default else d[name]
+        """Inverse of ``dataclasses.asdict``, casting each value to its
+        field's type.  Raises ``KeyError`` for a missing field without a
+        default and ``ValueError`` naming a field that does not convert."""
+        kinds = get_type_hints(DatasetMeta)
+        values = {}
+        for f in fields(DatasetMeta):
+            raw = d[f.name] if f.default is MISSING else d.get(f.name, f.default)
             try:
-                return kind(raw)
+                values[f.name] = kinds[f.name](raw)
             except (TypeError, ValueError):
-                raise ValueError(f"field {name!r} is {raw!r}, not {kind.__name__}") from None
-
-        return DatasetMeta(
-            problem=field("problem", str), instance=field("instance", str),
-            m=field("m", int), n=field("n", int), t=field("t", int), seed=field("seed", int),
-            noise_halfwidth=field("noise_halfwidth", float), degree=field("degree", int),
-            split=field("split", str, ""), noise_shared=field("noise_shared", bool, False))
+                raise ValueError(f"field {f.name!r} is {raw!r}, "
+                                 f"not {kinds[f.name].__name__}") from None
+        return DatasetMeta(**values)
 
 
 def _frozen_matrix(values, rows: int, cols: int, name: str) -> np.ndarray:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Tuple
 
@@ -171,7 +171,7 @@ def save_dataset(ds: Dataset, directory) -> None:
     if ds.clean_costs is not None:
         _write_matrix(directory / "clean_costs.csv", "c", ds.clean_costs)
     with open(directory / "meta.json", "w") as fh:
-        json.dump(ds.meta.to_dict(), fh, sort_keys=True, indent=1)
+        json.dump(asdict(ds.meta), fh, sort_keys=True, indent=1)
 
 
 def load_dataset(directory) -> Dataset:

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -149,15 +149,17 @@ def loss_value(policy: TargetPolicy, ts_i: SampleTargets, chat: np.ndarray,
     return float(gaps.mean())
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Standard bias-corrected Adam over one parameter array; the moments
     start as the scalar 0.0, which adds exactly as zeros of its shape would."""
 
     lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m1: Union[float, np.ndarray] = 0.0
     m2: Union[float, np.ndarray] = 0.0
@@ -170,15 +172,14 @@ def adam_step(state: AdamState, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
     if g.shape != theta.shape:
         raise DimensionError(f"gradient shape {g.shape} != parameter shape {theta.shape}")
     state.step += 1
-    b1 = state.beta1
-    b2 = state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1 ** state.step
     corr2 = 1.0 - b2 ** state.step
     state.m1 = b1 * state.m1 + (1.0 - b1) * g
     state.m2 = b2 * state.m2 + (1.0 - b2) * (g * g)
     m_hat = state.m1 / corr1
     v_hat = state.m2 / corr2
-    theta -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    theta -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return theta
 
 
@@ -217,18 +218,8 @@ class TrainConfig:
     def to_dict(self) -> dict:
         # "shuffle" and "use_bias" are fixed: training always shuffles and
         # never fits a bias, and model files keep recording both.
-        return {
-            "method": self.method,
-            "policy": None if self.policy is None else policy_to_dict(self.policy),
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "lr": self.lr,
-            "seed": self.seed,
-            "shuffle": True,
-            "pfyl_samples": self.pfyl_samples,
-            "pfyl_sigma": self.pfyl_sigma,
-            "use_bias": False,
-        }
+        return {**vars(self), "shuffle": True, "use_bias": False,
+                "policy": None if self.policy is None else policy_to_dict(self.policy)}
 
 
 @dataclass(frozen=True)
@@ -243,10 +234,6 @@ class SolveCounts:
     precompute: int
     gradient: int
     evaluation: int
-
-    def to_dict(self) -> dict:
-        return {"precompute": self.precompute, "gradient": self.gradient,
-                "evaluation": self.evaluation}
 
 
 @dataclass(frozen=True)
@@ -401,12 +388,8 @@ def save_model(model: TrainedModel, cfg: TrainConfig, path) -> None:
         "theta": predictor.theta.tolist(),
         "bias": None,
         "best_epoch": model.best_epoch,
-        "audit": model.audit.to_dict(),
-        "history": [
-            {"epoch": h.epoch, "train_regret_pct": h.train_regret_pct,
-             "val_regret_pct": h.val_regret_pct}
-            for h in model.history
-        ],
+        "audit": asdict(model.audit),
+        "history": [asdict(h) for h in model.history],
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True)

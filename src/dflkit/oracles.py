@@ -30,7 +30,9 @@ supports, which it carries as integer keys.
 Each instance has one nominal solver, its batched ``solve_nominal_batch``,
 which applies the tie rule itself; :func:`solve` is the one-row call of
 :func:`solve_batch`.  The grid reads every path from one pass from the
-sink, walked in numpy for a batch and in Python for Lawler k-best.
+sink, walked in numpy for a batch and in Python for Lawler k-best, whose
+heap ranks equal-cost paths by their edge lists in walk order; the same
+move tables check a grid decision's feasibility.
 Held-Karp reduces each popcount layer across its ways in, stored ways
 first, and keeps the largest support key at a state's minimum.
 ``SelectOne`` takes a plain ``argmin``, which keeps the smallest index.
@@ -48,6 +50,7 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -164,7 +167,8 @@ class GridShortestPath:
     Every horizontal index is below every vertical one and both rise along a
     path, so of two paths leaving one cell, the one going right holds the
     smallest index they do not share.  The tie rule is therefore local, and
-    one pass from the sink, :meth:`_suffix_pass`, serves every solve.
+    one pass from the sink, :meth:`_suffix_pass`, serves every solve; two
+    paths' edge lists in walk order compare as their sorted supports do.
     """
 
     kind = "grid"
@@ -177,19 +181,13 @@ class GridShortestPath:
         self.n = self.v * (self.h - 1) + self.h * (self.v - 1)
         self._n_h = self.v * (self.h - 1)
         self.row_table_entries = self.v * self.h + 1  # solve_batch's per-row DP table
-        self._tables = None  # built by _pass_tables
-
-    def _h_idx(self, r: int, c: int) -> int:
-        return r * (self.h - 1) + c
-
-    def _v_idx(self, r: int, c: int) -> int:
-        return self._n_h + r * self.h + c
 
     def descriptor(self) -> str:
         return f"grid:{self.v}x{self.h}"
 
     # -- the DP ------------------------------------------------------------
 
+    @cached_property
     def _pass_tables(self):
         """Index arrays for :meth:`_suffix_pass`, built once.  Cells are
         numbered by anti-diagonal from the sink (position 0) to the source
@@ -198,35 +196,33 @@ class GridShortestPath:
         position; a missing move takes edge 0 to the pad.  Each wave holds
         one anti-diagonal's positions, its moves' heads (right moves first)
         and its slice of ``wave_edges``, the moves' edges in wave order."""
-        if self._tables is None:
-            v, h, pad = self.v, self.h, self.v * self.h
-            cells = sorted(range(pad), key=lambda cell: -sum(divmod(cell, h)))
-            pos = {cell: p for p, cell in enumerate(cells)}
-            edges, heads = [0, 0], [pad, pad]     # the sink makes no move
-            for cell in cells[1:]:
-                r, c = divmod(cell, h)
-                edges += [self._h_idx(r, c) if c + 1 < h else 0,
-                          self._v_idx(r, c) if r + 1 < v else 0]
-                heads += [pos[cell + 1] if c + 1 < h else pad,
-                          pos[cell + h] if r + 1 < v else pad]
-            waves, order, lo = [], [], 1
-            for d in range(v + h - 3, -1, -1):
-                hi = lo + min(v - 1, d) + 1 - max(0, d - h + 1)
-                keys = [*range(2 * lo, 2 * hi, 2), *range(2 * lo + 1, 2 * hi, 2)]
-                waves.append((slice(lo, hi), np.array([heads[key] for key in keys]),
-                              slice(len(order), len(order) + len(keys))))
-                order += keys
-                lo = hi
-            self._tables = (waves, np.array([edges[key] for key in order]),
-                            np.array(edges), np.array(heads))
-        return self._tables
+        v, h, pad = self.v, self.h, self.v * self.h
+        cells = sorted(range(pad), key=lambda cell: -sum(divmod(cell, h)))
+        pos = {cell: p for p, cell in enumerate(cells)}
+        edges, heads = [0, 0], [pad, pad]     # the sink makes no move
+        for cell in cells[1:]:
+            r, c = divmod(cell, h)
+            edges += [r * (h - 1) + c if c + 1 < h else 0,
+                      self._n_h + cell if r + 1 < v else 0]
+            heads += [pos[cell + 1] if c + 1 < h else pad,
+                      pos[cell + h] if r + 1 < v else pad]
+        waves, order, lo = [], [], 1
+        for d in range(v + h - 3, -1, -1):
+            hi = lo + min(v - 1, d) + 1 - max(0, d - h + 1)
+            keys = [*range(2 * lo, 2 * hi, 2), *range(2 * lo + 1, 2 * hi, 2)]
+            waves.append((slice(lo, hi), np.array([heads[key] for key in keys]),
+                          slice(len(order), len(order) + len(keys))))
+            order += keys
+            lo = hi
+        return (waves, np.array([edges[key] for key in order]),
+                np.array(edges), np.array(heads))
 
     def _suffix_pass(self, C: np.ndarray):
         """The grid DP over every row of the ``(rows, n)`` batch ``C``:
         ``(dist, down)``, where ``dist[p, row]`` is the cheapest cost from
         position ``p`` to the sink, summed from the sink, and ``down[p,
         row]`` whether that path's first move is down."""
-        waves, wave_edges, _, _ = self._pass_tables()
+        waves, wave_edges, _, _ = self._pass_tables
         cells = self.v * self.h
         move_costs = C.T.take(wave_edges, axis=0)   # take: far less overhead than []
         dist = np.empty((cells + 1, C.shape[0]))
@@ -248,7 +244,7 @@ class GridShortestPath:
         :meth:`_suffix_pass`."""
         rows = C.shape[0]
         _, down = self._suffix_pass(C)
-        _, _, edges, heads = self._pass_tables()
+        _, _, edges, heads = self._pass_tables
         idx = np.arange(rows)
         p = np.full(rows, self.v * self.h - 1)
         path = np.empty((self.v + self.h - 2, rows), dtype=np.intp)
@@ -280,19 +276,19 @@ class GridShortestPath:
         edge ``j``; its answer is the prefix, the cell's other move and the
         stored best path on.  A path that deviated at the end of its forced
         prefix has both moves out of that cell excluded there, so that
-        subproblem is empty.  Each subproblem counts as one nominal solve."""
+        subproblem is empty.  Each subproblem counts as one nominal solve.
+        The heap holds ``(cost summed from the sink, path, forced length,
+        deviated)``, so equal costs pop in walk order: the tie rule's."""
         c = costs.tolist()
         dist, down = self._suffix_pass(costs[None])
         dist, down = dist[:, 0].tolist(), down[:, 0].tolist()
-        _, _, edges, heads = self._pass_tables()
+        _, _, edges, heads = self._pass_tables
         edges, heads = edges.tolist(), heads.tolist()
         source, pad = self.v * self.h - 1, self.v * self.h
-        path = self._best_path(source, down, edges, heads)
-        # (cost summed from the sink, support, path, forced length, deviated)
-        heap = [(dist[source], tuple(sorted(path)), path, 0, False)]
+        heap = [(dist[source], self._best_path(source, down, edges, heads), 0, False)]
         solves, results = 1, []
         while heap and len(results) < k:
-            _cost, _supp, path, forced, deviated = heapq.heappop(heap)
+            _cost, path, forced, deviated = heapq.heappop(heap)
             bits = np.zeros(self.n)
             bits[path] = 1.0
             results.append(bits)
@@ -309,33 +305,28 @@ class GridShortestPath:
                         total = c[f] + total
                     sub = path[:j] + [edges[other]] + self._best_path(
                         heads[other], down, edges, heads)
-                    heapq.heappush(heap, (total, tuple(sorted(sub)), sub, j, True))
+                    heapq.heappush(heap, (total, sub, j, True))
                 p = heads[key]
         return results, solves
 
     # -- feasibility -------------------------------------------------------
 
     def is_feasible(self, x: np.ndarray) -> bool:
+        """One used move out of each position from source to sink, no more."""
         support = _binary_support(x)
         if support is None:
             return False
         used = set(support)
-        r, c = 0, 0
-        consumed = 0
-        while (r, c) != (self.v - 1, self.h - 1):
-            right = c + 1 < self.h and self._h_idx(r, c) in used
-            down = r + 1 < self.v and self._v_idx(r, c) in used
-            if right and down:
+        _, _, edges, heads = self._pass_tables
+        edges, heads = edges.tolist(), heads.tolist()
+        p, pad = self.v * self.h - 1, self.v * self.h
+        while p:
+            moves = [key for key in (2 * p, 2 * p + 1)
+                     if heads[key] != pad and edges[key] in used]
+            if len(moves) != 1:
                 return False
-            if right:
-                consumed += 1
-                c += 1
-            elif down:
-                consumed += 1
-                r += 1
-            else:
-                return False
-        return consumed == len(used)
+            p = heads[moves[0]]
+        return len(used) == self.v + self.h - 2   # every path has v + h - 2 edges
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +382,6 @@ class DenseTSP:
             self._pair_matrix[i, j] = self._pair_matrix[j, i] = k
         # solve_batch's per-row DP size: one state per (odd mask, last node)
         self.row_table_entries = (1 << (self.n_nodes - 1)) * self.n_nodes
-        self._layer_tables = None  # Held-Karp index arrays, built by _hk_layers
-        self._tours = None  # every tour, in tie order, built by top_k
 
     def pair_index(self, i: int, j: int) -> int:
         if i == j or not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
@@ -426,7 +415,7 @@ class DenseTSP:
             raise ValueError(
                 f"exact TSP solve capped at {self.SOLVE_MAX_NODES} nodes, "
                 f"instance has {self.n_nodes}")
-        layers, edge_keys, words, shifts = self._hk_layers()
+        layers, edge_keys, words, shifts = self._hk_layers
         costs = np.ascontiguousarray(C.T)                 # (n, rows)
         dp = np.zeros((1, C.shape[0]))                    # the one state (mask 1, last 0)
         key = np.zeros((len(edge_keys), 1, C.shape[0]), dtype=np.int64)
@@ -440,6 +429,7 @@ class DenseTSP:
         _, tour = _cheapest_way(dp + costs[closing], key + edge_keys[:, closing, None])
         return ((tour.T.take(words, axis=1) >> shifts) & 1).astype(np.float64)
 
+    @cached_property
     def _hk_layers(self):
         """Per popcount ``size`` of the visited mask (2 to ``nodes``), the
         ways into the layer's states ``(mask, nxt)``, which are ordered by
@@ -450,65 +440,66 @@ class DenseTSP:
         ``(words, n)``, and each edge's word and bit shift for unpacking a
         key.  The key layout follows :data:`KEY_WORD_BITS` when the tables
         are built."""
-        if self._layer_tables is None:
-            nn = self.n_nodes
-            word_bits = KEY_WORD_BITS
-            e = np.arange(self.n)
-            words, shifts = e // word_bits, word_bits - 1 - e % word_bits
-            edge_keys = np.zeros((-(-self.n // word_bits), self.n), dtype=np.int64)
-            edge_keys[words, e] = np.left_shift(1, shifts, dtype=np.int64)
-            masks = np.arange(1, 1 << nn, 2)
-            bits = (masks[:, None] >> np.arange(1, nn)) & 1    # nodes 1 .. nn-1
-            sizes = bits.sum(axis=1) + 1
-            layers = []
-            # a state's position in its layer; the start state (mask 1, last 0) is 0
-            at = np.zeros(self.row_table_entries, dtype=np.intp)
+        nn = self.n_nodes
+        word_bits = KEY_WORD_BITS
+        e = np.arange(self.n)
+        words, shifts = e // word_bits, word_bits - 1 - e % word_bits
+        edge_keys = np.zeros((-(-self.n // word_bits), self.n), dtype=np.int64)
+        edge_keys[words, e] = np.left_shift(1, shifts, dtype=np.int64)
+        masks = np.arange(1, 1 << nn, 2)
+        bits = (masks[:, None] >> np.arange(1, nn)) & 1    # nodes 1 .. nn-1
+        sizes = bits.sum(axis=1) + 1
+        layers = []
+        # a state's position in its layer; the start state (mask 1, last 0) is 0
+        at = np.zeros(self.row_table_entries, dtype=np.intp)
 
-            def ways_first(table):   # (masks, nxt, ways in) -> (ways in, states)
-                return np.ascontiguousarray(table.reshape(-1, table.shape[-1]).T,
-                                            dtype=np.int32)
+        def ways_first(table):   # (masks, nxt, ways in) -> (ways in, states)
+            return np.ascontiguousarray(table.reshape(-1, table.shape[-1]).T,
+                                        dtype=np.int32)
 
-            for size in range(2, nn + 1):
-                ms = masks[sizes == size]
-                nxt = np.nonzero(bits[sizes == size])[1].reshape(len(ms), size - 1) + 1
-                if size == 2:
-                    ways = np.zeros((len(ms), 1, 1), dtype=np.intp)   # from node 0
-                else:  # the other visited nodes besides 0 and nxt
-                    others = [[i for i in range(size - 1) if i != j] for j in range(size - 1)]
-                    ways = nxt[:, others]
-                prev = ms[:, None] ^ (1 << nxt)
-                edges = ways_first(self._pair_matrix[ways, nxt[:, :, None]])
-                layers.append((ways_first(at[(prev[:, :, None] >> 1) * nn + ways]), edges,
-                               edge_keys.take(edges, axis=1)[..., None]))
-                at[((ms[:, None] >> 1) * nn + nxt).ravel()] = np.arange(nxt.size)
-            self._layer_tables = (layers, edge_keys, words, shifts)
-        return self._layer_tables
+        for size in range(2, nn + 1):
+            ms = masks[sizes == size]
+            nxt = np.nonzero(bits[sizes == size])[1].reshape(len(ms), size - 1) + 1
+            if size == 2:
+                ways = np.zeros((len(ms), 1, 1), dtype=np.intp)   # from node 0
+            else:  # the other visited nodes besides 0 and nxt
+                others = [[i for i in range(size - 1) if i != j] for j in range(size - 1)]
+                ways = nxt[:, others]
+            prev = ms[:, None] ^ (1 << nxt)
+            edges = ways_first(self._pair_matrix[ways, nxt[:, :, None]])
+            layers.append((ways_first(at[(prev[:, :, None] >> 1) * nn + ways]), edges,
+                           edge_keys.take(edges, axis=1)[..., None]))
+            at[((ms[:, None] >> 1) * nn + nxt).ravel()] = np.arange(nxt.size)
+        return layers, edge_keys, words, shifts
 
     # -- k-best ------------------------------------------------------------
 
     def top_k(self, costs: np.ndarray, k: int):
         """Exhaustive tour enumeration keeping a k-best set; the single
-        enumeration pass counts as one nominal evaluation.  Every tour (node
-        orders from 0 whose second node is below their last, so each
-        undirected tour once) is built once per instance into one read-only
-        ``(tours, n)`` matrix whose rows are in lex order of sorted supports,
-        so one stable sort by cost applies the tie rule; callers get copies.
-        Two threads racing on the first call build equal matrices."""
+        enumeration pass counts as one nominal evaluation.  :attr:`_tours`
+        is in the tie rule's order, so one stable sort by cost applies the
+        rule; callers get copies."""
         if self.n_nodes > self.TOPK_MAX_NODES:
             raise ValueError(
                 f"k-best TSP enumeration capped at {self.TOPK_MAX_NODES} nodes, "
                 f"instance has {self.n_nodes}")
-        if self._tours is None:
-            supports = sorted(sorted(self._pair_matrix[(0,) + perm, (*perm, 0)].tolist())
-                              for perm in itertools.permutations(range(1, self.n_nodes))
-                              if perm[0] < perm[-1])
-            tours = np.zeros((len(supports), self.n))
-            tours[np.arange(len(supports))[:, None], supports] = 1.0
-            tours.flags.writeable = False
-            self._tours = tours
         scores = np.matmul(self._tours[:, None, :], costs[:, None])[:, 0, 0]
         # copies keep callers from writing into the cached tour matrix
         return [self._tours[i].copy() for i in np.argsort(scores, kind="stable")[:k]], 1
+
+    @cached_property
+    def _tours(self) -> np.ndarray:
+        """Every tour (node orders from 0 whose second node is below their
+        last, so each undirected tour once), built once per instance as the
+        rows of one read-only ``(tours, n)`` matrix in lex order of sorted
+        supports.  Two threads racing on the first access build equal ones."""
+        supports = sorted(sorted(self._pair_matrix[(0,) + perm, (*perm, 0)].tolist())
+                          for perm in itertools.permutations(range(1, self.n_nodes))
+                          if perm[0] < perm[-1])
+        tours = np.zeros((len(supports), self.n))
+        tours[np.arange(len(supports))[:, None], supports] = 1.0
+        tours.flags.writeable = False
+        return tours
 
     # -- feasibility -------------------------------------------------------
 

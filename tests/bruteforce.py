@@ -68,6 +68,31 @@ def tsp_tours(n_nodes):
     return tours
 
 
+def held_karp(n_nodes, costs):
+    """Held-Karp in plain Python floats, as a 0/1 tuple.  Each path is summed
+    from node 0 in visiting order, one edge at a time, and so is the closing
+    edge; an exact float tie between two ways into a state, or between two
+    closing edges, goes to the lex-smaller sorted support."""
+    pairs = tsp_pair_indices(n_nodes)
+    costs = [float(c) for c in costs]
+
+    def extend(state, a, b):
+        cost, support = state
+        e = pairs[(min(a, b), max(a, b))]
+        return cost + costs[e], tuple(sorted(support + (e,)))
+
+    best = {(1 | 1 << j, j): extend((0.0, ()), 0, j) for j in range(1, n_nodes)}
+    for mask in sorted(range(1, 1 << n_nodes, 2), key=lambda m: bin(m).count("1")):
+        for nxt in range(1, n_nodes):
+            prev = mask ^ (1 << nxt)
+            if mask >> nxt & 1 and prev != 1:   # states {0, nxt} are seeded above
+                best[mask, nxt] = min(extend(best[prev, last], last, nxt)
+                                      for last in range(1, n_nodes) if prev >> last & 1)
+    full = (1 << n_nodes) - 1
+    _, support = min(extend(best[full, last], last, 0) for last in range(1, n_nodes))
+    return tuple(int(e in support) for e in range(len(costs)))
+
+
 def select_one_decisions(n):
     out = []
     for i in range(n):

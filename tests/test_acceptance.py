@@ -66,10 +66,12 @@ def test_criterion_1_oracle_exactness():
             decision_bits = [bits(d) for d in decisions]
             for trial in range(100):
                 c = rng.normal(size=inst.n) * 5.0
-                assert bits(solve(inst, c)) == bf.best_decision(decision_bits, c)
+                # the same float64 sums in the same order, as Python floats
+                c_list = c.tolist()
+                assert bits(solve(inst, c)) == bf.best_decision(decision_bits, c_list)
                 k = 2 + trial % 4  # k in 2..5
                 got = [bits(x) for x in top_k_solve(inst, c, k)]
-                assert got == bf.k_best_decisions(decision_bits, c, k)
+                assert got == bf.k_best_decisions(decision_bits, c_list, k)
                 rho, gkind = budgets[trial % 4]
                 gamma = {"n8": inst.n / 8, "n4": inst.n / 4, "rn": rho * inst.n}[gkind]
                 u = UncertaintyParams(rho=rho, gamma=gamma)

@@ -4,9 +4,10 @@
 one nominal solve per row.  Each instance has one DP that applies the tie
 rule itself; for TSP that is one Held-Karp, whose ``solve`` is its one-row
 call, so its tie rule is checked against enumeration of every tour, with
-one and with several words per support key.  The batched training path
-rests on four numpy identities, pinned here so that a numpy upgrade
-breaking one fails the suite.
+one and with several words per support key, and against a plain-Python
+Held-Karp on decimal costs, whose float ties depend on the summation order.
+The batched training path rests on four numpy identities, pinned here so
+that a numpy upgrade breaking one fails the suite.
 """
 
 import numpy as np
@@ -157,11 +158,33 @@ class TestTSPTieRule:
         inst = DenseTSP(nodes)
         self.check_bruteforce(inst, self.tie_rows(inst, kind, 40 if nodes < 8 else 12))
 
+    @pytest.mark.parametrize("nodes", [4, 5, 6, 7, 8])
+    def test_matches_plain_held_karp(self, nodes):
+        # decimal costs tie in float64 only where two sums round alike, so
+        # the reference must add the same terms in the same order
+        inst = DenseTSP(nodes)
+        C = np.random.default_rng(nodes).choice([0.1, 0.2, 0.3, 0.7], size=(200, inst.n))
+        for c, x in zip(C, solve_batch(inst, C)):
+            assert bits(x) == bf.held_karp(nodes, c)
+
+    @pytest.mark.parametrize("row", [
+        [0.2, 0.7, 0.2, 0.2, 0.2, 0.7],
+        [0.3, 0.7, 0.3, 0.7, 0.3, 0.3],
+        [0.3, 0.7, 0.1, 0.3, 0.1, 0.7, 0.3, 0.1, 0.2, 0.2],
+        [0.2, 0.3, 0.1, 0.3, 0.1, 0.1, 0.7, 0.2, 0.7, 0.1],
+        [0.1, 0.1, 0.2, 0.7, 0.3, 0.7, 0.7, 0.7, 0.7, 0.7, 0.7, 0.2, 0.7, 0.1, 0.2]],
+        ids=["tsp4a", "tsp4b", "tsp5a", "tsp5b", "tsp6"])
+    def test_closing_tie_matches_plain_held_karp(self, row):
+        # two tours close at the same float64 cost through different last
+        # nodes; the lex-smaller support wins, whichever last node it has
+        nodes = {6: 4, 10: 5, 15: 6}[len(row)]
+        assert bits(solve_batch(DenseTSP(nodes), np.array([row]))[0]) == bf.held_karp(nodes, row)
+
     @pytest.mark.parametrize("nodes", [4, 5, 6, 7])
     def test_several_key_words(self, nodes, monkeypatch):
         monkeypatch.setattr(oracles, "KEY_WORD_BITS", 3)
         inst = DenseTSP(nodes)                          # its tables read the patched width
-        assert len(inst._hk_layers()[1]) == -(-inst.n // 3) >= 2   # words per key
+        assert len(inst._hk_layers[1]) == -(-inst.n // 3) >= 2   # words per key
         for kind in ("integer", "dyadic", "constant"):
             self.check_bruteforce(inst, self.tie_rows(inst, kind, 20))
 

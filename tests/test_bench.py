@@ -352,6 +352,45 @@ class TestRunSweep:
                 starred = agg["marker"] != ""
                 assert starred == (float(agg["p_value"]) < 0.05)
 
+    @pytest.mark.parametrize("shift, marker", [(-1.0, "*"), (1.0, "x")])
+    def test_significant_marker_follows_the_sign(self, monkeypatch, shift, marker):
+        # knn beats (or trails) emp by about `shift` on every seed: a
+        # significant paired difference, starred when knn is the lower
+        import dflkit.bench as bench
+
+        def shifted_cell(cell):
+            row = real_run_cell(cell)
+            seed = row["seed"]
+            row["test_regret_pct"] = 10.0 + seed + (
+                0.0 if row["policy"] == "emp" else shift + 0.1 * seed * seed)
+            return row
+
+        real_run_cell = bench.run_cell
+        monkeypatch.setattr(bench, "run_cell", shifted_cell)
+        rows = run_sweep(tiny_sweep_config())
+        knn = [r for r in rows if r["row_type"] == "aggregate" and r["policy"] != "emp"]
+        assert len(knn) == 1 and knn[0]["p_value"] < 0.05
+        assert (knn[0]["t_stat"] < 0) == (shift < 0)
+        assert knn[0]["marker"] == marker
+
+    def test_failed_cell_is_recorded_and_sweep_continues(self, monkeypatch):
+        import dflkit.bench as bench
+
+        def train_failing_seed_1(tc, *args):
+            if tc.seed == 1:
+                raise RuntimeError("boom")
+            return real_train(tc, *args)
+
+        real_train = bench.train
+        monkeypatch.setattr(bench, "train", train_failing_seed_1)
+        rows = run_sweep(tiny_sweep_config())
+        detail = [r for r in rows if r["row_type"] == "detail"]
+        assert [r["status"] for r in detail] == ["ok", "error: boom", "ok"] * 2
+        assert all(r["test_regret_pct"] == "" for r in detail if r["seed"] == 1)
+        assert all(r["wall_time_s"] != "" for r in detail)
+        agg = [r for r in rows if r["row_type"] == "aggregate"]
+        assert [r["status"] for r in agg] == ["ok:2/3", "ok:2/3"]
+
     def test_reproducibility(self, tmp_path):
         cfg = tiny_sweep_config(seeds=(0, 1))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

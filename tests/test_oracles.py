@@ -203,6 +203,14 @@ class TestTSP:
         grid = instance_from_descriptor("grid:3x4")
         assert (grid.v, grid.h, grid.n) == (3, 4, 17)
 
+    def test_select_descriptor_and_unknown_kinds(self):
+        sel = instance_from_descriptor("select:7")
+        assert isinstance(sel, SelectOne) and sel.n == 7 and sel.descriptor() == "select:7"
+        for desc in ("ring:5", "grid5x5"):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"unknown instance descriptor: '{desc}'")):
+                instance_from_descriptor(desc)
+
     @pytest.mark.parametrize("desc", ["grid:5", "grid:5x5x5", "grid:ax5", "select:x",
                                       "tsp:x", "tsp:5,foo", "tsp:3,coords=0,0;1"])
     def test_malformed_descriptor(self, desc):
@@ -251,6 +259,14 @@ class TestFeasibility:
             z[inst6.pair_index(a, b)] = 1
         assert not is_feasible(inst6, z)
         assert is_feasible(inst, solve(inst, np.arange(6.0)))
+
+    def test_tsp_degree_other_than_two_rejected(self):
+        # four edges on four nodes, but node 0 has three and node 3 one
+        inst = DenseTSP(4)
+        x = np.zeros(6)
+        for a, b in [(0, 1), (0, 2), (0, 3), (1, 2)]:
+            x[inst.pair_index(a, b)] = 1
+        assert not is_feasible(inst, x)
 
     @pytest.mark.parametrize("bad", [0.5, 2.0, np.nan])
     def test_non_binary_entries_rejected(self, bad):
