@@ -14,7 +14,6 @@ explicitly seeded :class:`RngStream` so experiments replay exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import MISSING, dataclass, fields
 from typing import Optional, get_type_hints
 
@@ -45,19 +44,21 @@ class RngStream:
 
     Draw contract (fixed forever):
 
-    * ``uniform(lo, hi)`` consumes one raw double ``u`` in ``[0, 1)`` and
-      returns ``lo + (hi - lo) * u``.
-    * ``normal()`` consumes two consecutive raw doubles ``(u1, u2)`` and
-      applies the cosine Box-Muller map
+    * ``uniform(lo, hi, size)`` consumes one raw double ``u`` in ``[0, 1)``
+      per element, in row-major order, and returns ``lo + (hi - lo) * u``.
+    * ``normal(size)`` consumes two consecutive raw doubles ``(u1, u2)`` per
+      element, in row-major order, and applies the cosine Box-Muller map
       ``z = sqrt(-2 ln(1 - u1)) * cos(2 pi u2)``; the sine mate is discarded.
-      Array draws consume pairs in row-major element order, so drawing ``k``
-      normals one at a time equals one ``normal(k)`` call.
     * ``bernoulli_array(p, size)`` consumes one raw double ``u`` per element,
       in row-major order, and returns ``u < p`` as 0.0/1.0.
     * ``permutation(count)`` consumes ``count - 1`` raw doubles
       ``u_1 .. u_{count-1}`` and runs a Fisher-Yates pass: for
       ``i = count - 1 .. 1`` it swaps slot ``i`` with slot
       ``floor(u_{count-i} * (i + 1))``.
+
+    ``uniform`` and ``normal`` without ``size`` make the one-element array
+    draw and return it as a float, so ``k`` draws one at a time equal one
+    ``size=k`` draw bit for bit.
 
     A stream is single-owner: never share one instance across workers.
     """
@@ -71,26 +72,17 @@ class RngStream:
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
-    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        if lo > hi:
-            raise ValueError(f"uniform bounds reversed: lo={lo} > hi={hi}")
-        return float(lo + (hi - lo) * self._gen.random())
-
-    def uniform_array(self, lo: float, hi: float, size) -> np.ndarray:
+    def uniform(self, lo: float = 0.0, hi: float = 1.0, size=None):
         if lo > hi:
             raise ValueError(f"uniform bounds reversed: lo={lo} > hi={hi}")
         return lo + (hi - lo) * self._gen.random(size)
 
     def normal(self, size=None):
         """Standard normal draw(s) via the documented Box-Muller variant."""
-        if size is None:
-            u = self._gen.random(2)
-            return float(math.sqrt(-2.0 * math.log(1.0 - u[0])) * math.cos(2.0 * math.pi * u[1]))
-        shape = (size,) if np.isscalar(size) else tuple(size)
-        total = int(np.prod(shape)) if shape else 1
-        u = self._gen.random(2 * total)
+        shape = (1,) if size is None else (size,) if np.isscalar(size) else tuple(size)
+        u = self._gen.random(2 * int(np.prod(shape)))
         z = np.sqrt(-2.0 * np.log(1.0 - u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
-        return z.reshape(shape)
+        return float(z[0]) if size is None else z.reshape(shape)
 
     def bernoulli_array(self, p: float, size) -> np.ndarray:
         if not 0.0 <= p <= 1.0:
@@ -124,13 +116,17 @@ class DatasetMeta:
     def from_dict(d: dict) -> "DatasetMeta":
         """Inverse of ``dataclasses.asdict``, casting each value to its
         field's type.  Raises ``KeyError`` for a missing field without a
-        default and ``ValueError`` naming a field that does not convert."""
+        default and ``ValueError`` naming a field that does not convert, or
+        whose value the cast would change (``2.7`` or ``true`` for an int,
+        ``"false"`` for a bool)."""
         kinds = get_type_hints(DatasetMeta)
         values = {}
         for f in fields(DatasetMeta):
             raw = d[f.name] if f.default is MISSING else d.get(f.name, f.default)
             try:
                 values[f.name] = kinds[f.name](raw)
+                if values[f.name] != raw or isinstance(raw, bool) != (kinds[f.name] is bool):
+                    raise ValueError
             except (TypeError, ValueError):
                 raise ValueError(f"field {f.name!r} is {raw!r}, "
                                  f"not {kinds[f.name].__name__}") from None

@@ -78,13 +78,8 @@ def clean_costs(gm: GenModel, features: np.ndarray, deg: int) -> np.ndarray:
 
 def apply_noise(clean: np.ndarray, halfwidth: float, stream: RngStream,
                 shared: bool = False) -> np.ndarray:
-    if halfwidth == 0.0:
-        return clean * 1.0
-    if shared:
-        eps = stream.uniform_array(1.0 - halfwidth, 1.0 + halfwidth, (clean.shape[0], 1))
-    else:
-        eps = stream.uniform_array(1.0 - halfwidth, 1.0 + halfwidth, clean.shape)
-    return clean * eps
+    size = (clean.shape[0], 1) if shared else clean.shape
+    return clean * stream.uniform(1.0 - halfwidth, 1.0 + halfwidth, size)
 
 
 def generate_samples(gm: GenModel, count: int, params: GenParams,

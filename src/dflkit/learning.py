@@ -64,15 +64,8 @@ class LinearPredictor:
 
     theta: np.ndarray                 # (n, m)
 
-    @staticmethod
-    def zeros(n: int, m: int) -> "LinearPredictor":
-        return LinearPredictor(theta=np.zeros((n, m)))
-
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
         return features @ self.theta.T
-
-    def copy(self) -> "LinearPredictor":
-        return LinearPredictor(theta=self.theta.copy())
 
 
 def mse_gradient(c, chat) -> np.ndarray:
@@ -296,7 +289,7 @@ def train(cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset, inst,
         per_sample = targets.per_sample
 
     n, m = train_ds.meta.n, train_ds.meta.m
-    predictor = LinearPredictor.zeros(n, m)
+    predictor = LinearPredictor(np.zeros((n, m)))
     state = AdamState(lr=cfg.lr)
 
     grad_audit = OracleAudit()
@@ -337,7 +330,7 @@ def train(cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset, inst,
     history: List[EpochStats] = []
     best_val = math.inf
     best_epoch = 0
-    best_predictor = predictor.copy()
+    best_predictor = LinearPredictor(predictor.theta.copy())
 
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_stream.permutation(t)
@@ -368,7 +361,7 @@ def train(cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset, inst,
         if val_pct < best_val:
             best_val = val_pct
             best_epoch = epoch
-            best_predictor = predictor.copy()
+            best_predictor = LinearPredictor(predictor.theta.copy())
 
     audit = SolveCounts(
         precompute=0 if targets is None else targets.precompute_solves,

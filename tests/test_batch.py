@@ -87,12 +87,12 @@ class TestBatchedEqualsPerRow:
         X = solve_batch(inst, C)
         assert X.tobytes() == per_row(inst, C).tobytes()
 
-    def test_select_argmin_never_falls_back(self):
+    def test_select_integer_ties_equal_per_row(self):
         inst = SelectOne(5)
         C = cost_rows(inst, "integer")
         assert solve_batch(inst, C).tobytes() == per_row(inst, C).tobytes()
 
-    def test_fallback_rows_are_the_tied_ones(self):
+    def test_tied_and_untied_rows_equal_per_row(self):
         # rows 1 and 3 tie (all tours cost the same; two tours close at the
         # same cost), rows 0 and 2 do not
         inst = DenseTSP(4)
@@ -101,16 +101,6 @@ class TestBatchedEqualsPerRow:
         audit = OracleAudit()
         assert solve_batch(inst, C, audit).tobytes() == per_row(inst, C).tobytes()
         assert audit.solve_count == 4
-
-    @pytest.mark.parametrize("row", [
-        [0.2, 0.7, 0.2, 0.2, 0.2, 0.7],
-        [0.3, 0.7, 0.1, 0.3, 0.1, 0.7, 0.3, 0.1, 0.2, 0.2]], ids=["tsp4", "tsp5"])
-    def test_closing_tie_between_two_tours_falls_back(self, row):
-        # two different tours close at exactly the same cost, while rounding
-        # keeps every DP state's ways in apart: only the closing rule sees it
-        inst = DenseTSP(4 if len(row) == 6 else 5)
-        X = solve_batch(inst, np.array([row]))
-        assert X[0].tobytes() == solve(inst, row).tobytes()
 
     @pytest.mark.parametrize("kind", ["normal", "integer"])
     @pytest.mark.parametrize("inst", [DenseTSP(9), DenseTSP(10)], ids=["tsp:9", "tsp:10"])

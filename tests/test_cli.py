@@ -1,9 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dflkit
 from dflkit.cli import main
 from dflkit.datagen import load_dataset
 from dflkit.targets import policy_from_dict
@@ -172,6 +177,42 @@ class TestBiasDemoCommand:
         payload = json.loads(out.read_text())
         assert sum(payload["counts"]) == 2000
         assert payload["high_mean_freq"] > payload["low_mean_freq"]
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--nh", "0", "need at least one decision per group and two total"),
+        ("--sigma-h", "-1", "standard deviations must be non-negative"),
+        ("--trials", "0", "need at least one trial"),
+    ], ids=["nh", "sigma_h", "trials"])
+    def test_bad_config_exits_1(self, capsys, flag, value, message):
+        flags = {"--nh": "2", "--nl": "2", "--sigma-h": "1.0", "--sigma-l": "0.5",
+                 "--trials": "10", flag: value}
+        rc = main(["bias-demo", *[part for item in flags.items() for part in item]])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestModuleEntryPoint:
+    @staticmethod
+    def _run(*args):
+        # the child imports the same dflkit as this process
+        src = str(Path(dflkit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        return subprocess.run([sys.executable, "-m", "dflkit", *args], capture_output=True,
+                              text=True, env=env)
+
+    def test_bias_demo(self):
+        run = self._run("bias-demo", "--nh", "2", "--nl", "1", "--sigma-h", "1.0",
+                        "--sigma-l", "0.1", "--trials", "50")
+        assert run.returncode == 0
+        assert sum(json.loads(run.stdout)["counts"]) == 50
+
+    def test_error_exits_1(self, tmp_path):
+        run = self._run("eval", "--data", str(tmp_path / "nope"), "--model",
+                        str(tmp_path / "m.json"), "--split", "test",
+                        "--report", str(tmp_path / "r.json"))
+        assert run.returncode == 1
+        assert run.stderr == f"error: no meta.json under {tmp_path / 'nope' / 'test'}\n"
 
 
 class TestErrorHandling:

@@ -22,8 +22,8 @@ class TestRngStream:
         assert seq1 == seq2
 
     def test_distinct_streams_differ(self):
-        a = RngStream(123, 0).uniform_array(0, 1, 16)
-        b = RngStream(123, 1).uniform_array(0, 1, 16)
+        a = RngStream(123, 0).uniform(0, 1, size=16)
+        b = RngStream(123, 1).uniform(0, 1, size=16)
         assert not np.array_equal(a, b)
 
     def test_degenerate_uniform(self):
@@ -32,7 +32,7 @@ class TestRngStream:
 
     def test_uniform_bounds(self):
         s = RngStream(5)
-        draws = s.uniform_array(-1.0, 2.0, 1000)
+        draws = s.uniform(-1.0, 2.0, size=1000)
         assert draws.min() >= -1.0 and draws.max() < 2.0
         with pytest.raises(ValueError):
             s.uniform(1.0, 0.0)
@@ -42,13 +42,15 @@ class TestRngStream:
         assert abs(float(z.mean())) < 0.01
 
     def test_normal_scalar_matches_vector(self):
-        zs = [RngStream(9, 2).normal() for _ in [0]]  # one scalar draw
-        zv = RngStream(9, 2).normal(1)
-        assert zs[0] == float(zv[0])
-        s = RngStream(9, 2)
-        seq = [s.normal() for _ in range(5)]
-        vec = RngStream(9, 2).normal(5)
-        assert seq == [float(v) for v in vec]
+        for key in [(42, 2), (9, 2), (0, 0), (7, 5)]:
+            s = RngStream(*key)
+            one_at_a_time = np.array([s.normal() for _ in range(5000)])
+            assert one_at_a_time.tobytes() == RngStream(*key).normal(5000).tobytes(), key
+
+    def test_uniform_scalar_matches_vector(self):
+        s = RngStream(42, 2)
+        one_at_a_time = np.array([s.uniform(-2.0, 5.0) for _ in range(5000)])
+        assert one_at_a_time.tobytes() == RngStream(42, 2).uniform(-2.0, 5.0, 5000).tobytes()
 
     def test_bernoulli_edges(self):
         s = RngStream(1)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,9 +35,10 @@ class TestGenerateSamples:
     def test_zero_noise_costs_equal_clean(self):
         inst = SelectOne(4)
         gm = make_gen_model(inst, 3, seed=0)
-        params = GenParams(m=3, deg=6, noise_halfwidth=0.0, seed=0)
-        ds = generate_samples(gm, 20, params, RngStream(0, STREAM_TRAIN_SAMPLES))
-        assert np.array_equal(ds.costs, ds.clean_costs)
+        for shared in (False, True):
+            params = GenParams(m=3, deg=6, noise_halfwidth=0.0, seed=0, noise_shared=shared)
+            ds = generate_samples(gm, 20, params, RngStream(0, STREAM_TRAIN_SAMPLES))
+            assert ds.costs.tobytes() == ds.clean_costs.tobytes()
 
     def test_zero_features_closed_form(self):
         inst = SelectOne(4)
@@ -157,6 +159,16 @@ class TestPersistence:
     @pytest.mark.parametrize("tamper, message", [
         (lambda d: _edit_json(d / "meta.json", lambda meta: {**meta, "m": "five"}),
          r"meta\.json: field 'm' is 'five', not int"),
+        (lambda d: _edit_json(d / "meta.json", lambda meta: {**meta, "m": 2.7}),
+         r"meta\.json: field 'm' is 2\.7, not int"),
+        (lambda d: _edit_json(d / "meta.json", lambda meta: {**meta, "m": True}),
+         r"meta\.json: field 'm' is True, not int"),
+        (lambda d: _edit_json(d / "meta.json", lambda meta: {**meta, "seed": "7"}),
+         r"meta\.json: field 'seed' is '7', not int"),
+        (lambda d: _edit_json(d / "meta.json", lambda meta: {**meta, "noise_shared": "false"}),
+         r"meta\.json: field 'noise_shared' is 'false', not bool"),
+        (lambda d: _edit_json(d / "meta.json", lambda meta: {**meta, "noise_shared": 0}),
+         r"meta\.json: field 'noise_shared' is 0, not bool"),
         (lambda d: _edit_json(d / "meta.json", lambda meta: [1, 2]),
          r"meta\.json: expected a JSON object, got list"),
         (lambda d: _edit_line(d / "costs.csv", 3, lambda s: "abc" + s[s.index(","):]),
@@ -167,13 +179,23 @@ class TestPersistence:
          r"costs\.csv: line 4: non-finite value 'nan'"),
         (lambda d: _edit_line(d / "features.csv", 3, lambda s: "-Infinity" + s[s.index(","):]),
          r"features\.csv: line 3: non-finite value '-Infinity'"),
-    ], ids=["meta_field_type", "meta_not_object", "non_numeric_cell", "ragged_row",
-            "nan_cell", "infinite_cell"])
+        (lambda d: _edit_line(d / "costs.csv", 14, lambda s: s + "\n" + s),
+         r"costs\.csv: shape \(14, 12\) disagrees with meta \(13, 12\)"),
+    ], ids=["meta_field_type", "meta_int_from_float", "meta_int_from_bool", "meta_int_from_str",
+            "meta_bool_from_str", "meta_bool_from_int", "meta_not_object", "non_numeric_cell",
+            "ragged_row", "nan_cell", "infinite_cell", "extra_row"])
     def test_malformed_file_is_named(self, tmp_path, tamper, message):
         save_dataset(self._random_ds(), tmp_path / "d")
         tamper(tmp_path / "d")
         with pytest.raises(ValueError, match=message):
             load_dataset(tmp_path / "d")
+
+    def test_meta_casts_that_keep_the_value_load(self, tmp_path):
+        ds = self._random_ds()
+        save_dataset(ds, tmp_path / "d")
+        _edit_json(tmp_path / "d" / "meta.json", lambda meta: {**meta, "m": 4.0, "degree": 4.0,
+                                                                 "noise_halfwidth": 1})
+        assert load_dataset(tmp_path / "d").meta == replace(ds.meta, noise_halfwidth=1.0)
 
     def test_optional_clean_costs(self, tmp_path):
         ds = self._random_ds()

@@ -344,6 +344,19 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(cfg, tr, va, inst, ts)
 
+    def test_missing_targets_rejected(self):
+        inst, tr, va = tiny_problem()
+        cfg = TrainConfig(method="spo+", policy=Empirical(), epochs=1)
+        with pytest.raises(ValueError, match="^method 'spo\\+' requires a target set$"):
+            train(cfg, tr, va, inst, None)
+
+    def test_targets_of_another_length_rejected(self):
+        inst, tr, va = tiny_problem(t=10)
+        ts = build_targets(Empirical(), tiny_problem(t=9)[1], inst)
+        cfg = TrainConfig(method="spo+", policy=Empirical(), epochs=1)
+        with pytest.raises(ValueError, match="^target set size does not match training set$"):
+            train(cfg, tr, va, inst, ts)
+
 
 class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [{"pfyl_samples": 0}, {"pfyl_samples": -2},
