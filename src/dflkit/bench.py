@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (Dataset, DimensionError, RngStream, STREAM_BIAS_DEMO,
-                   STREAM_INSTANCE)
+                   STREAM_INSTANCE, exact_int)
 from .datagen import GenParams, generate_splits
 from .learning import METHODS, TrainConfig, decision_regret, normalized_regret_pct, train
 from .oracles import DenseTSP, GridShortestPath, OracleAudit
@@ -233,17 +233,17 @@ def bias_demo(cfg: BiasDemoConfig) -> BiasDemoResult:
 def _epochs_by_t(value) -> Dict[int, int]:
     if not isinstance(value, dict):
         raise TypeError(f"expected an object mapping t to epochs, got {type(value).__name__}")
-    return {int(k): int(v) for k, v in value.items()}
+    return {exact_int(k): exact_int(v) for k, v in value.items()}
 
 
 # how SweepConfig.from_dict converts each required field
 _REQUIRED_CASTS = dict(
     problems=tuple,
-    t_values=lambda v: tuple(int(t) for t in v),
+    t_values=lambda v: tuple(map(exact_int, v)),
     noise_values=lambda v: tuple(float(e) for e in v),
     methods=tuple,
     policies=tuple,
-    seeds=lambda v: tuple(int(s) for s in v),
+    seeds=lambda v: tuple(map(exact_int, v)),
     epochs_by_t=_epochs_by_t,
 )
 
@@ -271,13 +271,14 @@ class SweepConfig:
     @staticmethod
     def from_dict(d: dict) -> "SweepConfig":
         """Parse a sweep JSON object.  Optional keys absent from ``d`` keep
-        the dataclass defaults; present ones are cast to the default's type.
-        A missing required key, or a value that does not convert, raises a
+        the dataclass defaults; present ones are cast to the default's type,
+        integers through `exact_int`.  A missing required key, or a value
+        that does not convert or that the cast would change, raises a
         ``ValueError`` starting ``sweep config:`` that names the field."""
         casts = dict(_REQUIRED_CASTS)
         for f in fields(SweepConfig):
             if f.default is not MISSING and f.name in d:
-                casts[f.name] = type(f.default)
+                casts[f.name] = exact_int if type(f.default) is int else type(f.default)
         parsed = {}
         for name, cast in casts.items():
             if name not in d:
@@ -314,9 +315,9 @@ def default_sweep_config() -> dict:
 def build_instance(problem: dict, instance_seed: int = 0):
     kind = problem["kind"]
     if kind == "grid":
-        return GridShortestPath(int(problem["v"]), int(problem["h"]))
+        return GridShortestPath(exact_int(problem["v"]), exact_int(problem["h"]))
     if kind == "tsp":
-        nodes = int(problem["nodes"])
+        nodes = exact_int(problem["nodes"])
         stream = RngStream(instance_seed, STREAM_INSTANCE)
         coords = [(round(stream.uniform(0.0, 1.0), 6), round(stream.uniform(0.0, 1.0), 6))
                   for _ in range(nodes)]

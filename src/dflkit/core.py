@@ -35,6 +35,14 @@ class DimensionError(ValueError):
     """Vector length disagrees with the owning instance or dataset."""
 
 
+def exact_int(value) -> int:
+    """``int(value)`` for a config value, refusing a bool and a number the
+    cast would change (``2.7``); ``3.0`` and the string ``"3"`` convert."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 class RngStream:
     """Deterministic random stream keyed by ``(seed, stream_id)``.
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Tuple
@@ -119,24 +120,66 @@ def generate_splits(inst, params: GenParams) -> Tuple[Dataset, Dataset, Dataset]
 # ---------------------------------------------------------------------------
 # On-disk layout: features.csv / costs.csv / clean_costs.csv + meta.json.
 # Floats are written in shortest round-trip decimal form, so a save/load
-# cycle is bit-identical for every numeric field.
+# cycle is bit-identical for every numeric field.  A canonical file (the
+# header line ``save_dataset`` writes, then lines of finite values) is
+# parsed in one numpy pass.  Any other CSV that the csv.reader loop accepts
+# still loads through that loop, and every malformed file keeps its message.
 # ---------------------------------------------------------------------------
+
+# Characters on which the numpy pass could read a line differently from the
+# loop: csv.reader treats CR and quotes specially, and np.loadtxt strips
+# \x1c-\x1f as whitespace where float() refuses them.
+_NOT_CANONICAL = ("\r", '"', "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _header(prefix: str, cols: int) -> list:
+    return [f"{prefix}_{j}" for j in range(cols)]
+
 
 def _write_matrix(path: Path, header_prefix: str, matrix: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"{header_prefix}_{j}" for j in range(matrix.shape[1])])
-        for row in matrix:
-            writer.writerow([repr(float(x)) for x in row])
+        fh.write(",".join(_header(header_prefix, matrix.shape[1])) + "\n")
+        for row in matrix:  # one row at a time: a whole-matrix tolist() costs memory
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
+
+
+def _canonical_lines(fh):
+    """The lines of ``fh``, refusing with a ``ValueError`` any line that is
+    blank (np.loadtxt skips it, the loop does not) or not canonical."""
+    for line in fh:
+        if not line.strip() or any(map(line.__contains__, _NOT_CANONICAL)):
+            raise ValueError("not a canonical line")
+        yield line
 
 
 def _read_matrix(path: Path, header_prefix: str, rows: int, cols: int) -> np.ndarray:
+    """The ``(rows, cols)`` matrix in ``path``: one np.loadtxt pass over a
+    canonical file, else `_read_matrix_csv`.  Both parse each value with
+    the routine behind ``float()``, so the loaded bits do not depend on the
+    path."""
+    with open(path, newline="") as fh:
+        if fh.readline() == ",".join(_header(header_prefix, cols)) + "\n":
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # e.g. loadtxt's empty-input warning
+                    arr = np.loadtxt(_canonical_lines(fh), delimiter=",", comments=None,
+                                     dtype=np.float64, ndmin=2)
+                if arr.shape == (rows, cols) and np.isfinite(arr).all():
+                    return arr
+            except (ValueError, Warning):
+                pass
+    return _read_matrix_csv(path, header_prefix, rows, cols)
+
+
+def _read_matrix_csv(path: Path, header_prefix: str, rows: int, cols: int) -> np.ndarray:
+    """Row-by-row reader: loads any CSV of finite values that csv.reader and
+    ``float()`` accept, and names the file and line of a malformed one."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty file, no header row")
-        expected = [f"{header_prefix}_{j}" for j in range(cols)]
+        expected = _header(header_prefix, cols)
         if header != expected:
             raise ValueError(f"{path.name}: unexpected header {header[:3]}...")
         data = []

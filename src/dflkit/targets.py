@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .core import Dataset, DimensionError
+from .core import Dataset, DimensionError, exact_int
 from .oracles import (OracleAudit, UncertaintyParams, robust_solve, solve, solve_batch,
                       top_k_solve)
 
@@ -93,9 +93,9 @@ def policy_from_dict(d: dict, n: Optional[int] = None) -> TargetPolicy:
             gamma = float(d["gamma"])
         return RobustOpt(UncertaintyParams(rho=float(d["rho"]), gamma=gamma))
     if kind == "topk":
-        return TopK(k=int(d["k"]))
+        return TopK(k=exact_int(d["k"]))
     if kind == "knn":
-        return KNN(k=int(d["k"]), w=float(d["w"]))
+        return KNN(k=exact_int(d["k"]), w=float(d["w"]))
     raise ValueError(f"unknown policy kind: {kind!r}")
 
 

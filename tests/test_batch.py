@@ -60,7 +60,7 @@ class TestBatchedEqualsPerRow:
 
     @pytest.mark.parametrize("kind", ["normal", "datagen"])
     @pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
-    def test_no_fallback_without_ties(self, inst, kind):
+    def test_untied_rows_rank_first_in_top_k(self, inst, kind):
         # rows without ties have one cheapest decision, which k-best
         # ranks first; about half of all TSP rows close a tour and its own
         # reverse at equal cost, which is no tie
@@ -73,7 +73,7 @@ class TestBatchedEqualsPerRow:
 
     @pytest.mark.parametrize("inst", [INSTANCES[2], INSTANCES[4], INSTANCES[5]],
                              ids=[IDS[2], IDS[4], IDS[5]])
-    def test_integer_ties_all_fall_back(self, inst):
+    def test_integer_ties_equal_per_row(self, inst):
         # every integer TSP row has states with two cheapest ways in
         C = cost_rows(inst, "integer")
         assert solve_batch(inst, C).tobytes() == per_row(inst, C).tobytes()
@@ -81,7 +81,7 @@ class TestBatchedEqualsPerRow:
     @pytest.mark.parametrize("inst", [GridShortestPath(2, 2), GridShortestPath(5, 5),
                                       DenseTSP(4), DenseTSP(6)],
                              ids=["grid2x2", "grid5x5", "tsp4", "tsp6"])
-    def test_constant_rows_all_fall_back(self, inst):
+    def test_constant_rows_equal_per_row(self, inst):
         # every decision of a constant row ties
         C = np.repeat([[0.0], [1.0], [2.0]], inst.n, axis=1)
         X = solve_batch(inst, C)

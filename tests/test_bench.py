@@ -5,7 +5,7 @@ import pytest
 
 from dflkit.bench import (BiasDemoConfig, SweepConfig, bias_demo, eval_expected_regret,
                           eval_regret, paired_t_test, regularized_incomplete_beta,
-                          run_sweep, write_sweep_csv)
+                          run_sweep, sweep_cells, write_sweep_csv)
 from dflkit.core import Dataset, DatasetMeta, RngStream, STREAM_TRAIN_SAMPLES
 from dflkit.datagen import GenParams, generate_samples, make_gen_model
 from dflkit.oracles import GridShortestPath, SelectOne, UncertaintyParams
@@ -203,6 +203,17 @@ class TestSweepConfig:
         assert cfg.lr == 1.0 and type(cfg.lr) is float
         assert cfg.pfyl_sigma == 0.5 and cfg.instance_seed == 2
 
+    def test_integral_floats_load_as_ints(self):
+        cfg = SweepConfig.from_dict({
+            **MINIMAL_SWEEP, "problems": [{"kind": "grid", "v": 2.0, "h": 3.0}],
+            "t_values": [8.0], "methods": ["spo+"], "policies": [{"kind": "topk", "k": 2.0}],
+            "seeds": [1.0], "epochs_by_t": {"8": 2.0}, "batch_size": 4.0})
+        [(inst, params, tc)] = sweep_cells(cfg)
+        values = (inst.v, inst.h, params.t_train, params.seed, tc.epochs, tc.batch_size,
+                  tc.policy.k)
+        assert values == (2, 3, 8, 1, 2, 4, 2)
+        assert all(type(v) is int for v in values)
+
     @pytest.mark.parametrize("field", ["problems", "seeds", "epochs_by_t"])
     def test_missing_required_field(self, field):
         d = dict(MINIMAL_SWEEP)
@@ -298,13 +309,29 @@ class TestSweepPreflight:
          r"policies\[0\]: uncertainty parameter gamma cannot be nan"),
         ({"policies": [{"kind": "ro", "rho": float("inf"), "gamma": 1}]},
          r"policies\[0\]: uncertainty parameter rho cannot be inf"),
+        ({"epochs_by_t": {"8": 2.7}}, "epochs_by_t: 2.7 is not an integer"),
+        ({"epochs_by_t": {"8": True}}, "epochs_by_t: True is not an integer"),
+        ({"seeds": [1.9, True]}, "seeds: 1.9 is not an integer"),
+        ({"seeds": [1, True]}, "seeds: True is not an integer"),
+        ({"t_values": [8.5]}, "t_values: 8.5 is not an integer"),
+        ({"batch_size": 32.5}, "batch_size: 32.5 is not an integer"),
+        ({"instance_seed": False}, "instance_seed: False is not an integer"),
+        ({"problems": [{"kind": "grid", "v": 5.6, "h": 2}]},
+         r"problems\[0\]: 5.6 is not an integer"),
+        ({"problems": [{"kind": "tsp", "nodes": 6.5}]},
+         r"problems\[0\]: 6.5 is not an integer"),
+        ({"policies": [{"kind": "topk", "k": 2.5}]}, r"policies\[0\]: 2.5 is not an integer"),
+        ({"policies": [{"kind": "knn", "k": True, "w": 0.5}]},
+         r"policies\[0\]: True is not an integer"),
     ], ids=["epochs", "batch_size", "pfyl_samples", "test_size", "features", "degree",
             "noise", "grid_v", "problem_kind", "topk_k", "knn_w", "ro_rho", "k_not_int",
             "no_problems", "no_noise_values", "no_methods", "no_seeds", "no_problem_t_values",
             "no_t_values", "no_policies", "features_not_int", "t_value_not_int",
             "epochs_not_int", "epochs_not_object", "seeds_not_list", "lr_null",
             "lr_nan", "lr_inf", "lr_negative", "noise_nan", "noise_inf", "ro_rho_nan",
-            "ro_gamma_nan", "ro_rho_inf"])
+            "ro_gamma_nan", "ro_rho_inf", "epochs_fraction", "epochs_bool", "seed_fraction",
+            "seed_bool", "t_value_fraction", "batch_size_fraction", "instance_seed_bool",
+            "grid_v_fraction", "tsp_nodes_fraction", "topk_k_fraction", "knn_k_bool"])
     def test_unrunnable_value(self, monkeypatch, changes, message):
         with pytest.raises(ValueError, match="^sweep config: " + message):
             self.run_unrunnable(monkeypatch, **changes)

@@ -1,11 +1,13 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dflkit.core import (RngStream, STREAM_TEST_SAMPLES, STREAM_TRAIN_SAMPLES,
-                         STREAM_VAL_SAMPLES)
+from dflkit import datagen
+from dflkit.core import (Dataset, DatasetMeta, RngStream, STREAM_TEST_SAMPLES,
+                         STREAM_TRAIN_SAMPLES, STREAM_VAL_SAMPLES)
 from dflkit.datagen import (GenParams, apply_noise, clean_costs, generate_samples,
                             generate_splits, load_dataset, make_gen_model, save_dataset)
 from dflkit.oracles import GridShortestPath, SelectOne
@@ -111,10 +113,27 @@ def _edit_json(path, edit):
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
 
 
-def _edit_line(path, line, edit):
-    lines = path.read_text().splitlines()
+def _edit_row(text, line, edit):
+    lines = text.split("\n")
     lines[line - 1] = edit(lines[line - 1])
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines)
+
+
+def _edit_line(path, line, edit):
+    path.write_text(_edit_row(path.read_text(), line, edit))
+
+
+def _outcome(load):
+    """The loaded array's bits, or the type and message of the error."""
+    try:
+        return load().tobytes()
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _edit_value(text, line, edit):
+    """``text`` with the first value of row ``line`` replaced by ``edit(value)``."""
+    return _edit_row(text, line, lambda row: edit(row.partition(",")[0]) + row[row.index(","):])
 
 
 class TestPersistence:
@@ -204,3 +223,72 @@ class TestPersistence:
         save_dataset(stripped, tmp_path / "d")
         back = load_dataset(tmp_path / "d")
         assert back.clean_costs is None
+
+    def _saved(self, tmp_path):
+        ds = self._random_ds()
+        save_dataset(ds, tmp_path / "d")
+        return ds, tmp_path / "d"
+
+    # load_dataset parses a canonical file in one numpy pass; every other
+    # file must load to the same bits, or fail with the same message, as
+    # through the csv.reader loop
+    @pytest.mark.parametrize("edit", [
+        lambda s: s.replace("\n", "\r\n"),
+        lambda s: s.replace("\n", "\r"),
+        lambda s: _edit_row(s, 4, lambda row: "\n" + row),
+        lambda s: s + "\n",
+        lambda s: _edit_row(s, 4, lambda row: "  \n" + row),
+        lambda s: _edit_value(s, 3, lambda v: f'"{v}"'),
+        lambda s: _edit_value(s, 3, lambda v: "1_5"),
+        lambda s: s.rstrip("\n"),
+        lambda s: _edit_value(s, 3, lambda v: "nan"),
+        lambda s: _edit_value(s, 3, lambda v: "-Infinity"),
+        lambda s: _edit_value(s, 3, lambda v: "1e999"),
+        lambda s: _edit_row(s, 2, lambda row: row[:row.rindex(",")]),
+        lambda s: s + s[s.rindex("\n", 0, -1) + 1:],
+        lambda s: _edit_value(s, 3, lambda v: f" {v}\t"),
+        lambda s: _edit_value(s, 3, lambda v: f"\xa0{v}"),
+        lambda s: _edit_value(s, 3, lambda v: v + "\x1f"),
+        lambda s: _edit_value(s, 3, lambda v: "+" + v),
+    ], ids=["crlf", "cr_only", "blank_line_middle", "blank_line_end", "whitespace_line",
+            "quoted_number", "underscore_digits", "no_final_newline", "nan", "minus_infinity",
+            "overflow", "ragged_row", "extra_row", "spaces_around_value", "nbsp_before_value",
+            "unit_separator_after_value", "plus_sign"])
+    def test_hostile_file_matches_csv_loop(self, tmp_path, edit):
+        ds, d = self._saved(tmp_path)
+        path = d / "costs.csv"
+        path.write_bytes(edit(path.read_bytes().decode()).encode())
+        expected = _outcome(lambda: datagen._read_matrix_csv(path, "c", ds.meta.t, ds.meta.n))
+        assert _outcome(lambda: load_dataset(d).costs) == expected
+
+    def test_header_only_file_raises_the_shape_error_without_warning(self, tmp_path):
+        ds, d = self._saved(tmp_path)
+        path = d / "costs.csv"
+        path.write_text(path.read_text().split("\n")[0] + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError,
+                               match=r"costs\.csv: shape \(0,\) disagrees with meta \(13, 12\)"):
+                load_dataset(d)
+        assert caught == []
+
+    def test_saved_files_skip_the_csv_loop(self, tmp_path, monkeypatch):
+        ds, d = self._saved(tmp_path)
+
+        def no_loop(*args):
+            raise AssertionError("a canonical file reached the csv.reader loop")
+
+        monkeypatch.setattr(datagen, "_read_matrix_csv", no_loop)
+        back = load_dataset(d)
+        for name in ("features", "costs", "clean_costs"):
+            assert getattr(back, name).tobytes() == getattr(ds, name).tobytes()
+
+    def test_saved_text_is_pinned(self, tmp_path):
+        values = [[-0.0, 5e-324, 0.1], [1e16, 1e-05, 1.5e-07]]
+        meta = DatasetMeta(problem="select", instance="select:3", m=3, n=3, t=2, seed=0,
+                           noise_halfwidth=0.0, degree=1)
+        save_dataset(Dataset(features=values, costs=values, clean_costs=None, meta=meta),
+                     tmp_path / "d")
+        body = "-0.0,5e-324,0.1\n1e+16,1e-05,1.5e-07\n"
+        assert (tmp_path / "d" / "features.csv").read_bytes() == f"z_0,z_1,z_2\n{body}".encode()
+        assert (tmp_path / "d" / "costs.csv").read_bytes() == f"c_0,c_1,c_2\n{body}".encode()
