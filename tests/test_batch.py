@@ -60,7 +60,7 @@ class TestBatchedEqualsPerRow:
 
     @pytest.mark.parametrize("kind", ["normal", "datagen"])
     @pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
-    def test_untied_rows_rank_first_in_top_k(self, inst, kind):
+    def test_no_fallback_without_ties(self, inst, kind):
         # rows without ties have one cheapest decision, which k-best
         # ranks first; about half of all TSP rows close a tour and its own
         # reverse at equal cost, which is no tie
