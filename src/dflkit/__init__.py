@@ -18,8 +18,7 @@ from .targets import (KNN, Empirical, RobustOpt, TargetSet, TopK, build_targets,
                       knn_neighbors, policy_from_dict)
 from .learning import (AdamState, LinearPredictor, TrainConfig, TrainedModel,
                        TrainingError, adam_step, decision_regret, loss_value,
-                       mse_gradient, normalized_regret_pct, pfyl_gradient,
-                       spo_plus_gradient, train)
+                       mse_gradient, normalized_regret_pct, train)
 from .datagen import (GenModel, GenParams, generate_samples, generate_splits,
                       load_dataset, make_gen_model, save_dataset)
 from .bench import (BiasDemoConfig, RegretReport, SweepConfig, TTestResult,

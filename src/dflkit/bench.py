@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (Dataset, DimensionError, RngStream, STREAM_BIAS_DEMO,
-                   STREAM_INSTANCE, exact_int)
+                   STREAM_INSTANCE, exact_float, exact_int)
 from .datagen import GenParams, generate_splits
 from .learning import METHODS, TrainConfig, decision_regret, normalized_regret_pct, train
 from .oracles import DenseTSP, GridShortestPath, OracleAudit
@@ -184,6 +184,8 @@ class BiasDemoConfig:
             raise ValueError("need at least one decision per group and two total")
         if self.sigma_h < 0 or self.sigma_l < 0:
             raise ValueError("standard deviations must be non-negative")
+        if not (math.isfinite(self.sigma_h) and math.isfinite(self.sigma_l)):
+            raise ValueError("standard deviations must be finite")
         if self.trials < 1:
             raise ValueError("need at least one trial")
 
@@ -240,7 +242,7 @@ def _epochs_by_t(value) -> Dict[int, int]:
 _REQUIRED_CASTS = dict(
     problems=tuple,
     t_values=lambda v: tuple(map(exact_int, v)),
-    noise_values=lambda v: tuple(float(e) for e in v),
+    noise_values=lambda v: tuple(map(exact_float, v)),
     methods=tuple,
     policies=tuple,
     seeds=lambda v: tuple(map(exact_int, v)),
@@ -271,14 +273,14 @@ class SweepConfig:
     @staticmethod
     def from_dict(d: dict) -> "SweepConfig":
         """Parse a sweep JSON object.  Optional keys absent from ``d`` keep
-        the dataclass defaults; present ones are cast to the default's type,
-        integers through `exact_int`.  A missing required key, or a value
-        that does not convert or that the cast would change, raises a
+        the dataclass defaults; present ones go through `exact_int` or
+        `exact_float`, by the default's type.  A missing required key, or a
+        value that does not convert or that the cast would change, raises a
         ``ValueError`` starting ``sweep config:`` that names the field."""
         casts = dict(_REQUIRED_CASTS)
         for f in fields(SweepConfig):
             if f.default is not MISSING and f.name in d:
-                casts[f.name] = exact_int if type(f.default) is int else type(f.default)
+                casts[f.name] = exact_int if type(f.default) is int else exact_float
         parsed = {}
         for name, cast in casts.items():
             if name not in d:
@@ -333,11 +335,11 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _parse_entry(where: str, build, entry, arg):
-    """``build(entry, arg)``, re-raising a bad entry as a ``ValueError``
-    that names ``where`` (``problems[i]`` or ``policies[j]``)."""
+def _parse_entry(where: str, build, entry, *args):
+    """``build(entry, *args)``, re-raising a bad entry as a ``ValueError``
+    that names ``where`` (``problems[i]``, its ``t_values``, or ``policies[j]``)."""
     try:
-        return build(entry, arg)
+        return build(entry, *args)
     except KeyError as exc:
         raise ValueError(f"sweep config: {where} has no field {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
@@ -361,9 +363,11 @@ def sweep_cells(cfg: SweepConfig) -> List[Tuple[object, GenParams, TrainConfig]]
     cells = []
     for i, problem in enumerate(cfg.problems):
         inst = _parse_entry(f"problems[{i}]", build_instance, problem, cfg.instance_seed)
-        t_values = problem.get("t_values", cfg.t_values)
+        where, t_values = "t_values", cfg.t_values
+        if "t_values" in problem:
+            where = f"problems[{i}].t_values"
+            t_values = _parse_entry(where, _REQUIRED_CASTS["t_values"], problem["t_values"])
         if not t_values:
-            where = f"problems[{i}].t_values" if "t_values" in problem else "t_values"
             raise ValueError(f"sweep config: {where} is empty")
         policies = [_parse_entry(f"policies[{j}]", policy_from_dict, entry, inst.n)
                     for j, entry in enumerate(cfg.policies) if uses_policies]

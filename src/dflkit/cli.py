@@ -40,6 +40,7 @@ def _add_datagen(sub):
     p.add_argument("--noise-shared", action="store_true",
                    help="one noise factor per sample instead of per coefficient")
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_datagen)
 
 
 def _cmd_datagen(args) -> int:
@@ -74,6 +75,7 @@ def _add_train(sub):
     p.add_argument("--lr", type=float, default=TrainConfig.lr)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_train)
 
 
 def _cmd_train(args) -> int:
@@ -106,6 +108,7 @@ def _add_eval(sub):
     p.add_argument("--model", required=True)
     p.add_argument("--split", choices=["train", "val", "test"], required=True)
     p.add_argument("--report", required=True)
+    p.set_defaults(run=_cmd_eval)
 
 
 def _cmd_eval(args) -> int:
@@ -139,6 +142,7 @@ def _add_sweep(sub):
     p.add_argument("--config", required=True,
                    help="sweep JSON; 'default' writes and uses desk-scale defaults")
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_sweep)
 
 
 def _cmd_sweep(args) -> int:
@@ -164,6 +168,7 @@ def _add_bias_demo(sub):
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--seed", type=int, default=BiasDemoConfig.seed)
     p.add_argument("--out", default=None, help="optional JSON output path")
+    p.set_defaults(run=_cmd_bias_demo)
 
 
 def _cmd_bias_demo(args) -> int:
@@ -193,15 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "datagen": _cmd_datagen,
-        "train": _cmd_train,
-        "eval": _cmd_eval,
-        "sweep": _cmd_sweep,
-        "bias-demo": _cmd_bias_demo,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

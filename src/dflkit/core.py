@@ -43,12 +43,22 @@ def exact_int(value) -> int:
     return int(value)
 
 
+def exact_float(value) -> float:
+    """``float(value)`` for a config value, refusing a bool (``true`` is not 1.0)."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 class RngStream:
     """Deterministic random stream keyed by ``(seed, stream_id)``.
 
     The underlying bit generator is PCG64 seeded through
     ``SeedSequence(entropy=seed, spawn_key=(stream_id,))``, so equal keys give
-    bit-identical sequences on every platform and process.
+    bit-identical raw doubles on every platform and process.  ``normal``
+    maps them through numpy's ``log`` and ``cos``, whose last bits follow
+    numpy's SIMD dispatch: its draws replay on the same numpy build and CPU
+    features.
 
     Draw contract (fixed forever):
 

@@ -14,9 +14,6 @@ vectors, one row per sample; the chain rule to predictor parameters is
   minibatch at once; ``samples`` nominal solves per row.
 * ``mse_gradient``: gradient of ``(1/n) ||chat - c||^2``; no solves.
 
-``spo_plus_gradient`` and ``pfyl_gradient`` are the one-row calls of the
-first two.
-
 Regret kernel: ``decision_regret`` gives per-row regrets
 ``c_i^T x*(chat_i) - c_i^T x*(c_i)`` against any cost matrix, reusing
 precomputed optimal values when given; ``normalized_regret_pct`` turns them
@@ -84,12 +81,6 @@ def spo_plus_batch_gradient(xbar: np.ndarray, ref: np.ndarray, chat: np.ndarray,
     return 2.0 * (xbar - solve_batch(inst, 2.0 * chat - ref, audit))
 
 
-def spo_plus_gradient(ts_i: SampleTargets, chat: np.ndarray, inst,
-                      audit: Optional[OracleAudit] = None) -> np.ndarray:
-    return spo_plus_batch_gradient(ts_i.decision_mean()[None], ts_i.ref_cost[None],
-                                   np.asarray(chat, dtype=np.float64)[None], inst, audit)[0]
-
-
 def pfyl_batch_gradient(xbar: np.ndarray, chat: np.ndarray, inst, samples: int,
                         sigma: float, stream: RngStream,
                         audit: Optional[OracleAudit] = None) -> np.ndarray:
@@ -106,18 +97,10 @@ def pfyl_batch_gradient(xbar: np.ndarray, chat: np.ndarray, inst, samples: int,
     return xbar - X.reshape(b, samples, n).sum(axis=1) / samples
 
 
-def pfyl_gradient(ts_i: SampleTargets, chat: np.ndarray, inst,
-                  samples: int, sigma: float, stream: RngStream,
-                  audit: Optional[OracleAudit] = None) -> np.ndarray:
-    return pfyl_batch_gradient(ts_i.decision_mean()[None],
-                               np.asarray(chat, dtype=np.float64)[None], inst,
-                               samples, sigma, stream, audit)[0]
-
-
 def spo_plus_surrogate(ts_i: SampleTargets, chat: np.ndarray, inst,
                        audit: Optional[OracleAudit] = None) -> float:
-    """Value of the convex surrogate whose subgradient is
-    :func:`spo_plus_gradient`:
+    """Value of the convex surrogate whose subgradient is the one-row
+    :func:`spo_plus_batch_gradient`:
     ``max_x (c - 2 chat)^T x + 2 chat^T xbar - c^T xbar`` with targets in
     place of the empirical optimum."""
     xbar = ts_i.decision_mean()

@@ -8,7 +8,9 @@ Three instance kinds are supported:
 * :class:`DenseTSP` -- Hamiltonian cycles on a complete graph.  Variables are
   the unordered node pairs ``(i, j)`` with ``i < j`` in lexicographic order.
 * :class:`SelectOne` -- pick exactly one of ``n`` options (unit vectors);
-  handy for tiny enumerable test problems.
+  handy for tiny enumerable test problems.  It stays public because entry
+  points reach it: ``dflkit train`` and ``dflkit eval`` run on a dataset
+  whose ``meta.json`` names ``select:n``.
 
 Tie rule (applies everywhere, documented once): among equal-cost feasible
 decisions, return the one whose sorted list of used variable indices is
@@ -39,8 +41,15 @@ first, and keeps the largest support key at a state's minimum.
 
 The first decision of :func:`top_k_solve` is :func:`solve`'s wherever the
 float sums are exact, and always on the grid, whose k-best walks the same
-pass, and on ``SelectOne``.  TSP k-best sums each tour in index order, so
-on inexact costs it can rank near-tied tours otherwise than Held-Karp.
+pass, and on ``SelectOne``.  TSP k-best scores every tour in one stacked
+matrix product, which sums in the BLAS kernel's order rather than in index
+order, so on inexact costs it can rank near-tied tours otherwise than
+Held-Karp.
+
+:func:`worst_case_cost` and the feasibility checks under it stay public,
+though no entry point calls them: the worst case defines the robust loss
+that :func:`robust_solve` minimizes, and ``perfbench/tracer.py`` binds
+``oracles.worst_case_cost`` at import.
 """
 
 from __future__ import annotations
@@ -48,7 +57,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
@@ -73,7 +81,7 @@ KEY_WORD_BITS = 63
 
 
 class OracleAudit:
-    """Thread-safe counter of nominal-solve invocations.
+    """Counter of nominal-solve invocations, owned by one caller.
 
     Incremented exactly once per nominal solve, including the nominal solves
     performed inside ``robust_solve`` and ``top_k_solve``; a batch of ``B``
@@ -81,16 +89,10 @@ class OracleAudit:
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
-        self._count = 0
-
-    @property
-    def solve_count(self) -> int:
-        return self._count
+        self.solve_count = 0
 
     def add(self, k: int = 1) -> None:
-        with self._lock:
-            self._count += k
+        self.solve_count += k
 
 
 @dataclass(frozen=True)
@@ -132,14 +134,6 @@ def _check_costs(inst, costs, ndim: int = 1) -> np.ndarray:
             "cost magnitudes too large: every decision's summed |cost| must stay "
             f"below {BIG_CUTOFF:g} (need max|c| * (n+1) < {BIG_CUTOFF:g})")
     return c
-
-
-def _check_decision(inst, x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] != inst.n:
-        raise DimensionError(
-            f"decision has shape {arr.shape}, instance expects length {inst.n}")
-    return arr
 
 
 def _binary_support(x: np.ndarray) -> Optional[Tuple[int, ...]]:
@@ -338,7 +332,7 @@ def _cheapest_way(cand: np.ndarray, keys: np.ndarray):
     costs ``cand`` and axis 1 of the ``(words, ways, ...)`` support keys:
     the minimum cost and, among the ways at it, the largest key, compared
     word by word from the most significant."""
-    if len(cand) == 1:   # one way in: nothing to reduce
+    if len(cand) == 1:   # one way in: skipping the reduction speeds one-row solves
         return cand[0], keys[:, 0]
     best = cand.min(axis=0)
     eq = cand == best
@@ -610,26 +604,24 @@ def worst_case_cost(inst, costs, x, u: UncertaintyParams) -> float:
     keeping the tie rule meaningful.
     """
     c = _check_costs(inst, costs)
-    bits = _check_decision(inst, x)
-    if not inst.is_feasible(bits):
+    if not is_feasible(inst, x):
         raise ValueError("decision is not feasible for this instance")
-    return _worst_case(c, bits, u)
+    return _worst_case(c, np.asarray(x, dtype=np.float64), u)
 
 
 def _worst_case(c: np.ndarray, bits: np.ndarray, u: UncertaintyParams) -> float:
     """:func:`worst_case_cost` of a checked cost vector and feasible decision."""
     used = c[bits != 0.0]
     terms = used.tolist()
-    if u.rho > 0.0 and u.gamma > 0.0:
-        budget = u.gamma
-        mags = np.abs(used)
-        mags.sort()
-        for mag in mags[::-1].tolist():
-            take = u.rho if u.rho <= budget else budget
-            if take <= 0.0:
-                break
-            terms.append(take * mag)
-            budget -= take
+    budget = u.gamma
+    mags = np.abs(used)
+    mags.sort()
+    for mag in mags[::-1].tolist():
+        take = u.rho if u.rho <= budget else budget
+        if take <= 0.0:
+            break
+        terms.append(take * mag)
+        budget -= take
     return math.fsum(terms)
 
 
@@ -659,8 +651,12 @@ def robust_solve(inst, costs, u: UncertaintyParams,
 
 
 def is_feasible(inst, x) -> bool:
-    bits = _check_decision(inst, x)
-    return inst.is_feasible(bits)
+    """Whether ``x`` is a feasible decision; a wrong shape raises :class:`DimensionError`."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 1 or arr.shape[0] != inst.n:
+        raise DimensionError(
+            f"decision has shape {arr.shape}, instance expects length {inst.n}")
+    return inst.is_feasible(arr)
 
 
 def instance_from_descriptor(desc: str):

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .core import Dataset, DimensionError, exact_int
+from .core import Dataset, DimensionError, exact_float, exact_int
 from .oracles import (OracleAudit, UncertaintyParams, robust_solve, solve, solve_batch,
                       top_k_solve)
 
@@ -88,14 +88,14 @@ def policy_from_dict(d: dict, n: Optional[int] = None) -> TargetPolicy:
         if "gamma_frac" in d:
             if n is None:
                 raise ValueError("gamma_frac needs the cost dimension n")
-            gamma = float(d["gamma_frac"]) * n
+            gamma = exact_float(d["gamma_frac"]) * n
         else:
-            gamma = float(d["gamma"])
-        return RobustOpt(UncertaintyParams(rho=float(d["rho"]), gamma=gamma))
+            gamma = exact_float(d["gamma"])
+        return RobustOpt(UncertaintyParams(rho=exact_float(d["rho"]), gamma=gamma))
     if kind == "topk":
         return TopK(k=exact_int(d["k"]))
     if kind == "knn":
-        return KNN(k=exact_int(d["k"]), w=float(d["w"]))
+        return KNN(k=exact_int(d["k"]), w=exact_float(d["w"]))
     raise ValueError(f"unknown policy kind: {kind!r}")
 
 

@@ -18,12 +18,12 @@ from dflkit.cli import main as cli_main
 from dflkit.core import (Dataset, DatasetMeta, RngStream, STREAM_TEST_SAMPLES,
                          STREAM_TRAIN_SAMPLES, STREAM_VAL_SAMPLES)
 from dflkit.datagen import GenParams, generate_samples, make_gen_model
-from dflkit.learning import (TrainConfig, loss_value, pfyl_gradient,
-                             spo_plus_gradient, spo_plus_surrogate, train)
+from dflkit.learning import TrainConfig, loss_value, spo_plus_surrogate, train
 from dflkit.oracles import (DenseTSP, GridShortestPath, SelectOne,
                             UncertaintyParams, robust_solve, solve, top_k_solve,
                             worst_case_cost)
 from dflkit.targets import Empirical, KNN, build_targets
+from row_gradients import pfyl_gradient, spo_plus_gradient
 
 
 @contextlib.contextmanager

@@ -17,12 +17,12 @@ import bruteforce as bf
 import dflkit.oracles as oracles
 from dflkit.core import DimensionError, RngStream
 from dflkit.datagen import GenParams, generate_splits
-from dflkit.learning import (pfyl_batch_gradient, pfyl_gradient,
-                             spo_plus_batch_gradient, spo_plus_gradient)
+from dflkit.learning import pfyl_batch_gradient, spo_plus_batch_gradient
 from dflkit.oracles import (BIG_CUTOFF, DenseTSP, GridShortestPath, OracleAudit,
                             SelectOne, solve, solve_batch, top_k_solve)
 from dflkit.targets import KNN, build_targets
 
+from row_gradients import pfyl_gradient, spo_plus_gradient
 from test_oracles import bits, dyadic_near_ties
 
 INSTANCES = [GridShortestPath(2, 2), GridShortestPath(5, 5), GridShortestPath(10, 10),
@@ -60,7 +60,7 @@ class TestBatchedEqualsPerRow:
 
     @pytest.mark.parametrize("kind", ["normal", "datagen"])
     @pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
-    def test_no_fallback_without_ties(self, inst, kind):
+    def test_untied_rows_rank_first_in_top_k(self, inst, kind):
         # rows without ties have one cheapest decision, which k-best
         # ranks first; about half of all TSP rows close a tour and its own
         # reverse at equal cost, which is no tie
@@ -287,7 +287,7 @@ class TestNumpyIdentities:
 
 
 class TestGradientKernels:
-    """The per-sample engines are the one-row calls of the minibatch kernels."""
+    """A sample's gradient in a minibatch equals its gradient as a batch of one."""
 
     def setup_method(self):
         self.inst = GridShortestPath(3, 3)

@@ -214,6 +214,12 @@ class TestSweepConfig:
         assert values == (2, 3, 8, 1, 2, 4, 2)
         assert all(type(v) is int for v in values)
 
+    def test_problem_t_values_load_as_ints(self):
+        cfg = SweepConfig.from_dict({
+            **MINIMAL_SWEEP, "problems": [{"kind": "grid", "v": 2, "h": 2, "t_values": [8.0]}]})
+        [(_, params, _)] = sweep_cells(cfg)
+        assert params.t_train == 8 and type(params.t_train) is int
+
     @pytest.mark.parametrize("field", ["problems", "seeds", "epochs_by_t"])
     def test_missing_required_field(self, field):
         d = dict(MINIMAL_SWEEP)
@@ -323,6 +329,22 @@ class TestSweepPreflight:
         ({"policies": [{"kind": "topk", "k": 2.5}]}, r"policies\[0\]: 2.5 is not an integer"),
         ({"policies": [{"kind": "knn", "k": True, "w": 0.5}]},
          r"policies\[0\]: True is not an integer"),
+        ({"lr": True}, "lr: True is not a number"),
+        ({"pfyl_sigma": True}, "pfyl_sigma: True is not a number"),
+        ({"alpha": True}, "alpha: True is not a number"),
+        ({"noise_values": [0.5, True]}, "noise_values: True is not a number"),
+        ({"policies": [{"kind": "ro", "rho": True, "gamma": True}]},
+         r"policies\[0\]: True is not a number"),
+        ({"policies": [{"kind": "ro", "rho": True, "gamma": 1.0}]},
+         r"policies\[0\]: True is not a number"),
+        ({"policies": [{"kind": "ro", "rho": 0.5, "gamma_frac": True}]},
+         r"policies\[0\]: True is not a number"),
+        ({"policies": [{"kind": "knn", "k": 2, "w": True}]},
+         r"policies\[0\]: True is not a number"),
+        ({"problems": [{"kind": "grid", "v": 2, "h": 2, "t_values": [8.5]}]},
+         r"problems\[0\]\.t_values: 8.5 is not an integer"),
+        ({"problems": [{"kind": "grid", "v": 2, "h": 2, "t_values": [8, False]}]},
+         r"problems\[0\]\.t_values: False is not an integer"),
     ], ids=["epochs", "batch_size", "pfyl_samples", "test_size", "features", "degree",
             "noise", "grid_v", "problem_kind", "topk_k", "knn_w", "ro_rho", "k_not_int",
             "no_problems", "no_noise_values", "no_methods", "no_seeds", "no_problem_t_values",
@@ -331,7 +353,10 @@ class TestSweepPreflight:
             "lr_nan", "lr_inf", "lr_negative", "noise_nan", "noise_inf", "ro_rho_nan",
             "ro_gamma_nan", "ro_rho_inf", "epochs_fraction", "epochs_bool", "seed_fraction",
             "seed_bool", "t_value_fraction", "batch_size_fraction", "instance_seed_bool",
-            "grid_v_fraction", "tsp_nodes_fraction", "topk_k_fraction", "knn_k_bool"])
+            "grid_v_fraction", "tsp_nodes_fraction", "topk_k_fraction", "knn_k_bool",
+            "lr_bool", "pfyl_sigma_bool", "alpha_bool", "noise_bool", "ro_bools",
+            "ro_rho_bool", "ro_gamma_frac_bool", "knn_w_bool", "problem_t_value_fraction",
+            "problem_t_value_bool"])
     def test_unrunnable_value(self, monkeypatch, changes, message):
         with pytest.raises(ValueError, match="^sweep config: " + message):
             self.run_unrunnable(monkeypatch, **changes)

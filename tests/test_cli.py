@@ -182,7 +182,9 @@ class TestBiasDemoCommand:
         ("--nh", "0", "need at least one decision per group and two total"),
         ("--sigma-h", "-1", "standard deviations must be non-negative"),
         ("--trials", "0", "need at least one trial"),
-    ], ids=["nh", "sigma_h", "trials"])
+        ("--sigma-h", "nan", "standard deviations must be finite"),
+        ("--sigma-l", "inf", "standard deviations must be finite"),
+    ], ids=["nh", "sigma_h", "trials", "sigma_h_nan", "sigma_l_inf"])
     def test_bad_config_exits_1(self, capsys, flag, value, message):
         flags = {"--nh": "2", "--nl": "2", "--sigma-h": "1.0", "--sigma-l": "0.5",
                  "--trials": "10", flag: value}

@@ -8,12 +8,12 @@ from dflkit.core import Dataset, DatasetMeta, DimensionError, RngStream
 from dflkit.datagen import GenParams, generate_splits
 from dflkit.learning import (AdamState, LinearPredictor, TrainConfig,
                              TrainingError, adam_step, load_model, loss_value,
-                             mse_gradient, pfyl_gradient, save_model,
-                             spo_plus_gradient, spo_plus_surrogate, train)
+                             mse_gradient, save_model, spo_plus_surrogate, train)
 from dflkit.oracles import (GridShortestPath, SelectOne, UncertaintyParams,
                             solve)
 from dflkit.targets import (Empirical, KNN, RobustOpt, SampleTargets, TargetSet,
                             TopK, build_targets)
+from row_gradients import pfyl_gradient, spo_plus_gradient
 
 
 def make_ds(features, costs, clean=None, instance=None):
