@@ -12,8 +12,7 @@ are audited.
 from .core import Dataset, DatasetMeta, DimensionError, RngStream
 from .oracles import (DenseTSP, GridShortestPath, OracleAudit, SelectOne,
                       UncertaintyParams, instance_from_descriptor, is_feasible,
-                      robust_solve, solve, solve_batch, top_k_solve,
-                      worst_case_cost)
+                      robust_solve, solve, top_k_solve, worst_case_cost)
 from .targets import (KNN, Empirical, RobustOpt, TargetSet, TopK, build_targets,
                       knn_neighbors, policy_from_dict)
 from .learning import (AdamState, LinearPredictor, TrainConfig, TrainedModel,

@@ -27,7 +27,7 @@ from .core import (Dataset, DimensionError, RngStream, STREAM_BIAS_DEMO,
 from .datagen import GenParams, generate_splits
 from .learning import METHODS, TrainConfig, decision_regret, normalized_regret_pct, train
 from .oracles import DenseTSP, GridShortestPath, OracleAudit
-from .targets import Empirical, build_targets, policy_from_dict, policy_label
+from .targets import KNN, Empirical, TopK, build_targets, policy_from_dict, policy_label
 
 
 # ---------------------------------------------------------------------------
@@ -43,19 +43,10 @@ class RegretReport:
     denominator_zero: bool
 
 
-def _check_pred(pred_costs, ds: Dataset) -> np.ndarray:
-    pred = np.asarray(pred_costs, dtype=np.float64)
-    if pred.shape != ds.costs.shape:
-        raise DimensionError(
-            f"predictions have shape {pred.shape}, dataset costs {ds.costs.shape}")
-    return pred
-
-
 def eval_regret(pred_costs, ds: Dataset, inst, audit: Optional[OracleAudit] = None,
                 split: str = "", model_id: str = "") -> RegretReport:
     """Empirical regret of predicted costs: ``c^T x*(chat) - c^T x*(c)``."""
-    regrets, opt_vals = decision_regret(inst, _check_pred(pred_costs, ds), ds.costs,
-                                        audit=audit)
+    regrets, opt_vals = decision_regret(inst, pred_costs, ds.costs, audit=audit)
     return RegretReport(split=split, model_id=model_id, per_sample=regrets,
                         normalized_regret_pct=normalized_regret_pct(regrets, opt_vals),
                         denominator_zero=float(np.sum(np.abs(opt_vals))) == 0.0)
@@ -66,8 +57,8 @@ def eval_expected_regret(pred_costs, ds: Dataset, inst,
     """Regret against the conditional-mean costs stored by the generator."""
     if ds.clean_costs is None:
         raise ValueError("dataset has no clean costs; regenerate with them")
-    return normalized_regret_pct(*decision_regret(
-        inst, _check_pred(pred_costs, ds), ds.clean_costs, audit=audit))
+    return normalized_regret_pct(*decision_regret(inst, pred_costs, ds.clean_costs,
+                                                  audit=audit))
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +340,11 @@ def _parse_entry(where: str, build, entry, *args):
 def sweep_cells(cfg: SweepConfig) -> List[Tuple[object, GenParams, TrainConfig]]:
     """Every detail cell as ``(instance, GenParams, TrainConfig)``, in run
     order: problem, t, noise, method, policy, seed.  Building a cell runs
-    every check its objects make, so a config that cannot run raises a
-    ``ValueError`` starting ``sweep config:`` before any cell runs; so does
-    an empty list that would leave the sweep without cells.  An mse-only
-    sweep never parses its policies."""
+    every check its objects make, and two that only a run would reach: the
+    TSP solvers' node caps and knn's need of t >= 2.  So a config that cannot
+    run raises a ``ValueError`` starting ``sweep config:`` before any cell
+    runs; so does an empty list that would leave the sweep without cells.
+    An mse-only sweep never parses its policies."""
     for method in cfg.methods:
         if method not in METHODS:
             raise ValueError(f"sweep config: methods: unknown method {method!r}")
@@ -363,6 +355,9 @@ def sweep_cells(cfg: SweepConfig) -> List[Tuple[object, GenParams, TrainConfig]]
     cells = []
     for i, problem in enumerate(cfg.problems):
         inst = _parse_entry(f"problems[{i}]", build_instance, problem, cfg.instance_seed)
+        if isinstance(inst, DenseTSP):
+            _parse_entry(f"problems[{i}]", DenseTSP.check_nodes, inst,
+                         DenseTSP.SOLVE_MAX_NODES, "exact TSP solve")
         where, t_values = "t_values", cfg.t_values
         if "t_values" in problem:
             where = f"problems[{i}].t_values"
@@ -371,6 +366,12 @@ def sweep_cells(cfg: SweepConfig) -> List[Tuple[object, GenParams, TrainConfig]]
             raise ValueError(f"sweep config: {where} is empty")
         policies = [_parse_entry(f"policies[{j}]", policy_from_dict, entry, inst.n)
                     for j, entry in enumerate(cfg.policies) if uses_policies]
+        for j, policy in enumerate(policies):
+            if isinstance(policy, TopK) and isinstance(inst, DenseTSP):
+                _parse_entry(f"policies[{j}]", DenseTSP.check_nodes, inst,
+                             DenseTSP.TOPK_MAX_NODES, "k-best TSP enumeration")
+            if isinstance(policy, KNN) and min(t_values) < 2:
+                raise ValueError(f"sweep config: policies[{j}]: knn needs every t >= 2")
         runs = [(method, policy) for method in cfg.methods
                 for policy in ([None] if method == "mse" else policies)]
         for t, noise, (method, policy), seed in itertools.product(

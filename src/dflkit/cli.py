@@ -44,13 +44,14 @@ def _add_datagen(sub):
 
 
 def _cmd_datagen(args) -> int:
+    # the seed is checked here first, since a TSP's coordinates draw from it
+    params = GenParams(m=args.features, deg=args.deg, noise_halfwidth=args.noise,
+                       t_train=args.train, t_val=args.val, t_test=args.test,
+                       seed=args.seed, noise_shared=args.noise_shared)
     if args.problem == "grid":
         inst = instance_from_descriptor("grid:" + args.grid)
     else:
         inst = build_instance({"kind": "tsp", "nodes": args.nodes}, instance_seed=args.seed)
-    params = GenParams(m=args.features, deg=args.deg, noise_halfwidth=args.noise,
-                       t_train=args.train, t_val=args.val, t_test=args.test,
-                       seed=args.seed, noise_shared=args.noise_shared)
     out = Path(args.out)
     for ds in generate_splits(inst, params):
         save_dataset(ds, out / ds.meta.split)

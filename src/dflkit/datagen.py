@@ -52,6 +52,8 @@ class GenParams:
             raise ValueError("need at least one feature")
         if min(self.t_train, self.t_val, self.t_test) < 1:
             raise ValueError("need at least one sample in each split")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

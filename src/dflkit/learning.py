@@ -3,7 +3,7 @@ training loop.
 
 Gradient engines (all return gradients with respect to the predicted cost
 vectors, one row per sample; the chain rule to predictor parameters is
-``g z^T``).  Each is a minibatch kernel that makes one ``solve_batch`` call:
+``g z^T``).  Each is a minibatch kernel that makes one batched ``solve`` call:
 
 * ``spo_plus_batch_gradient``: ``2 * (xbar - x*(2 chat - c_ref))`` where
   ``xbar`` is the mean target decision and ``c_ref`` the target reference
@@ -46,7 +46,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from .core import Dataset, DimensionError, RngStream, STREAM_PFYL, STREAM_SHUFFLE
-from .oracles import OracleAudit, solve, solve_batch
+from .oracles import OracleAudit, solve
 from .targets import (Empirical, KNN, RobustOpt, SampleTargets, TargetPolicy,
                       TargetSet, TopK, policy_label, policy_to_dict)
 
@@ -78,7 +78,7 @@ def spo_plus_batch_gradient(xbar: np.ndarray, ref: np.ndarray, chat: np.ndarray,
                             inst, audit: Optional[OracleAudit] = None) -> np.ndarray:
     """SPO+ gradients of a minibatch: rows of ``xbar`` (mean target
     decisions), ``ref`` (reference costs) and ``chat`` (predictions)."""
-    return 2.0 * (xbar - solve_batch(inst, 2.0 * chat - ref, audit))
+    return 2.0 * (xbar - solve(inst, 2.0 * chat - ref, audit))
 
 
 def pfyl_batch_gradient(xbar: np.ndarray, chat: np.ndarray, inst, samples: int,
@@ -92,7 +92,7 @@ def pfyl_batch_gradient(xbar: np.ndarray, chat: np.ndarray, inst, samples: int,
         raise ValueError("perturbation amplitude must be non-negative")
     b, n = chat.shape
     zeta = stream.normal((b, samples, n))
-    X = solve_batch(inst, (chat[:, None, :] + sigma * zeta).reshape(b * samples, n), audit)
+    X = solve(inst, (chat[:, None, :] + sigma * zeta).reshape(b * samples, n), audit)
     # sums of 0/1 entries are exact, so the summation order cannot matter
     return xbar - X.reshape(b, samples, n).sum(axis=1) / samples
 
@@ -187,9 +187,11 @@ class TrainConfig:
         if self.pfyl_samples < 1:
             raise ValueError(
                 f"pfyl_samples must be at least 1, got {self.pfyl_samples}")
-        if not self.pfyl_sigma >= 0:
+        if not (math.isfinite(self.pfyl_sigma) and self.pfyl_sigma >= 0):
             raise ValueError(
-                f"pfyl_sigma must be non-negative, got {self.pfyl_sigma}")
+                f"pfyl_sigma must be finite and non-negative, got {self.pfyl_sigma}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def to_dict(self) -> dict:
         # "shuffle" and "use_bias" are fixed: training always shuffles and
@@ -228,20 +230,24 @@ def _row_dot(C: np.ndarray, X: np.ndarray) -> np.ndarray:
 def optimal_values(inst, costs, audit: Optional[OracleAudit] = None) -> np.ndarray:
     """``c_i^T x*(c_i)`` for every row of ``costs``; one nominal solve each."""
     costs = np.asarray(costs, dtype=np.float64)
-    return _row_dot(costs, solve_batch(inst, costs, audit))
+    return _row_dot(costs, solve(inst, costs, audit))
 
 
 def decision_regret(inst, pred, costs, opt_values: Optional[np.ndarray] = None,
                     audit: Optional[OracleAudit] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Per-row regret ``c_i^T x*(chat_i) - c_i^T x*(c_i)`` of predictions
-    ``pred`` judged against the rows of ``costs``.
+    ``pred`` judged against the rows of ``costs``, two ``(rows, n)`` arrays
+    of one shape; any other shapes raise :class:`DimensionError`.
 
     Returns ``(regrets, opt_values)``.  One nominal solve per row, plus one
     more per row for :func:`optimal_values` unless ``opt_values`` is given.
     """
+    pred, costs = np.asarray(pred, dtype=np.float64), np.asarray(costs, dtype=np.float64)
+    if pred.ndim != 2 or pred.shape != costs.shape:
+        raise DimensionError(f"predictions have shape {pred.shape}, costs {costs.shape}")
     if opt_values is None:
         opt_values = optimal_values(inst, costs, audit)
-    achieved = _row_dot(np.asarray(costs, dtype=np.float64), solve_batch(inst, pred, audit))
+    achieved = _row_dot(costs, solve(inst, pred, audit))
     return achieved - opt_values, opt_values
 
 

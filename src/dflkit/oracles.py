@@ -30,8 +30,8 @@ between two ways into a state, or between two closing edges, by the paths'
 supports, which it carries as integer keys.
 
 Each instance has one nominal solver, its batched ``solve_nominal_batch``,
-which applies the tie rule itself; :func:`solve` is the one-row call of
-:func:`solve_batch`.  The grid reads every path from one pass from the
+which applies the tie rule itself; :func:`solve` runs it on a cost vector or
+on a ``(B, n)`` batch.  The grid reads every path from one pass from the
 sink, walked in numpy for a batch and in Python for Lawler k-best, whose
 heap ranks equal-cost paths by their edge lists in walk order; the same
 move tables check a grid decision's feasibility.
@@ -69,8 +69,8 @@ BIG_CUTOFF = 1e11   # cost checks keep every decision's summed |cost| below this
 
 INF = math.inf
 
-# DP table entries (rows times per-row table size) that solve_batch works on
-# at once; for TSP the per-row table is (2^(nodes-1), nodes), so an 8-node
+# DP table entries (rows times per-row table size) that solve works on at
+# once; for TSP the per-row table is (2^(nodes-1), nodes), so an 8-node
 # block holds 64 rows and a 10-node block 12.
 BATCH_TABLE_ENTRIES = 1 << 16
 
@@ -91,7 +91,7 @@ class OracleAudit:
     def __init__(self):
         self.solve_count = 0
 
-    def add(self, k: int = 1) -> None:
+    def add(self, k: int) -> None:
         self.solve_count += k
 
 
@@ -174,7 +174,7 @@ class GridShortestPath:
         self.h = int(h_cols)
         self.n = self.v * (self.h - 1) + self.h * (self.v - 1)
         self._n_h = self.v * (self.h - 1)
-        self.row_table_entries = self.v * self.h + 1  # solve_batch's per-row DP table
+        self.row_table_entries = self.v * self.h + 1  # solve's per-row DP table
 
     def descriptor(self) -> str:
         return f"grid:{self.v}x{self.h}"
@@ -332,8 +332,6 @@ def _cheapest_way(cand: np.ndarray, keys: np.ndarray):
     costs ``cand`` and axis 1 of the ``(words, ways, ...)`` support keys:
     the minimum cost and, among the ways at it, the largest key, compared
     word by word from the most significant."""
-    if len(cand) == 1:   # one way in: skipping the reduction speeds one-row solves
-        return cand[0], keys[:, 0]
     best = cand.min(axis=0)
     eq = cand == best
     top = np.empty(keys.shape[:1] + best.shape, dtype=np.int64)
@@ -374,13 +372,13 @@ class DenseTSP:
         self._pair_matrix = np.zeros((self.n_nodes, self.n_nodes), dtype=np.intp)
         for k, (i, j) in enumerate(self._pairs):
             self._pair_matrix[i, j] = self._pair_matrix[j, i] = k
-        # solve_batch's per-row DP size: one state per (odd mask, last node)
+        # solve's per-row DP size: one state per (odd mask, last node)
         self.row_table_entries = (1 << (self.n_nodes - 1)) * self.n_nodes
 
-    def pair_index(self, i: int, j: int) -> int:
-        if i == j or not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
-            raise ValueError(f"no variable joins nodes {i} and {j}")
-        return int(self._pair_matrix[i, j])
+    def check_nodes(self, cap: int, what: str) -> None:
+        """Refuse the instance for ``what`` above ``cap`` nodes (a solver's cap)."""
+        if self.n_nodes > cap:
+            raise ValueError(f"{what} capped at {cap} nodes, instance has {self.n_nodes}")
 
     def descriptor(self) -> str:
         if self.coords is None:
@@ -405,10 +403,7 @@ class DenseTSP:
         tour is the lex-smallest cheapest path into its state, as the rest
         of the tour shares no edge with any path over the visited set, so
         the winner's key, unpacked into bits, is the rule's decision."""
-        if self.n_nodes > self.SOLVE_MAX_NODES:
-            raise ValueError(
-                f"exact TSP solve capped at {self.SOLVE_MAX_NODES} nodes, "
-                f"instance has {self.n_nodes}")
+        self.check_nodes(self.SOLVE_MAX_NODES, "exact TSP solve")
         layers, edge_keys, words, shifts = self._hk_layers
         costs = np.ascontiguousarray(C.T)                 # (n, rows)
         dp = np.zeros((1, C.shape[0]))                    # the one state (mask 1, last 0)
@@ -473,10 +468,7 @@ class DenseTSP:
         enumeration pass counts as one nominal evaluation.  :attr:`_tours`
         is in the tie rule's order, so one stable sort by cost applies the
         rule; callers get copies."""
-        if self.n_nodes > self.TOPK_MAX_NODES:
-            raise ValueError(
-                f"k-best TSP enumeration capped at {self.TOPK_MAX_NODES} nodes, "
-                f"instance has {self.n_nodes}")
+        self.check_nodes(self.TOPK_MAX_NODES, "k-best TSP enumeration")
         scores = np.matmul(self._tours[:, None, :], costs[:, None])[:, 0, 0]
         # copies keep callers from writing into the cached tour matrix
         return [self._tours[i].copy() for i in np.argsort(scores, kind="stable")[:k]], 1
@@ -560,24 +552,20 @@ class SelectOne:
 # ---------------------------------------------------------------------------
 
 def solve(inst, costs, audit: Optional[OracleAudit] = None) -> np.ndarray:
-    """Minimum-cost feasible decision (ties per the module tie rule): the
-    one-row call of :func:`solve_batch`, counting one nominal solve."""
-    return solve_batch(inst, _check_costs(inst, costs)[None], audit)[0]
-
-
-def solve_batch(inst, costs, audit: Optional[OracleAudit] = None) -> np.ndarray:
-    """Row ``i`` of the result is ``solve(inst, costs[i])``, for every row of
-    the ``(B, n)`` cost batch; counts ``B`` nominal solves.  Rows run in
-    blocks of at most :data:`BATCH_TABLE_ENTRIES` DP table entries through
-    the instance's one batched DP, which applies the tie rule itself."""
-    C = _check_costs(inst, costs, ndim=2)
+    """Minimum-cost feasible decision (ties per the module tie rule) of a
+    cost vector, or one per row of a ``(B, n)`` cost batch; counts one
+    nominal solve per row.  Rows run in blocks of at most
+    :data:`BATCH_TABLE_ENTRIES` DP table entries through the instance's one
+    batched DP, which applies the tie rule itself."""
+    one = np.ndim(costs) != 2
+    C = _check_costs(inst, costs, ndim=1 if one else 2).reshape(-1, inst.n)
     X = np.zeros(C.shape)
     block = max(1, BATCH_TABLE_ENTRIES // inst.row_table_entries)
     for lo in range(0, C.shape[0], block):
         X[lo:lo + block] = inst.solve_nominal_batch(C[lo:lo + block])
     if audit is not None:
         audit.add(C.shape[0])
-    return X
+    return X[0] if one else X
 
 
 def top_k_solve(inst, costs, k: int, audit: Optional[OracleAudit] = None) -> List[np.ndarray]:
@@ -645,7 +633,7 @@ def robust_solve(inst, costs, u: UncertaintyParams,
     devs = u.rho * np.abs(c)
     thresholds = np.array(sorted({0.0, *(float(dv) for dv in devs)}))
     adjusted = c + np.maximum(devs - thresholds[:, None], 0.0)
-    X = solve_batch(inst, adjusted, audit)
+    X = solve(inst, adjusted, audit)
     candidates = np.array(sorted(set(map(tuple, X.tolist())), reverse=True))
     return min(candidates, key=lambda x: _worst_case(c, x, u))
 

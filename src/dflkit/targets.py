@@ -20,8 +20,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from .core import Dataset, DimensionError, exact_float, exact_int
-from .oracles import (OracleAudit, UncertaintyParams, robust_solve, solve, solve_batch,
-                      top_k_solve)
+from .oracles import OracleAudit, UncertaintyParams, robust_solve, solve, top_k_solve
 
 
 @dataclass(frozen=True)
@@ -151,8 +150,8 @@ def build_targets(policy: TargetPolicy, ds: Dataset, inst,
 
     Empirical and RobustOpt store one pair per sample; TopK and KNN store
     ``min(k, available)`` pairs.  All stored decisions are feasible by
-    construction.  KNN solves every interpolated cost of the dataset in one
-    ``solve_batch`` call; the other policies work sample by sample.
+    construction.  Empirical and KNN solve all their costs in one
+    :func:`solve` call; RobustOpt and TopK work sample by sample.
     """
     if ds.meta.n != inst.n:
         raise DimensionError(
@@ -164,24 +163,22 @@ def build_targets(policy: TargetPolicy, ds: Dataset, inst,
         k, w = min(policy.k, len(ds) - 1), policy.w
         raws = [ds.costs[knn_neighbors(ds, i, k)] for i in range(len(ds))]
         costs_w = [w * raw + (1.0 - w) * c for raw, c in zip(raws, ds.costs)]
-        decisions = solve_batch(inst, np.concatenate(costs_w), audit)
+        decisions = solve(inst, np.concatenate(costs_w), audit)
         per_sample = [SampleTargets(costs=cw, decisions=x,
                                     ref_cost=w * raw.mean(axis=0) + (1.0 - w) * c)
                       for raw, c, cw, x in zip(raws, ds.costs, costs_w,
                                                decisions.reshape(len(ds), k, inst.n))]
     else:
-        per_sample = []
-        for c in ds.costs:
-            if isinstance(policy, Empirical):
-                decs = [solve(inst, c, audit)]
-            elif isinstance(policy, RobustOpt):
-                decs = [robust_solve(inst, c, policy.u, audit)]
-            elif isinstance(policy, TopK):
-                decs = top_k_solve(inst, c, policy.k, audit)
-            else:
-                raise TypeError(f"unknown target policy: {policy!r}")
-            per_sample.append(SampleTargets(
-                costs=np.array([c] * len(decs)), decisions=np.array(decs),
-                ref_cost=c.copy()))
+        if isinstance(policy, Empirical):
+            decisions = [[x] for x in solve(inst, ds.costs, audit)]
+        elif isinstance(policy, RobustOpt):
+            decisions = [[robust_solve(inst, c, policy.u, audit)] for c in ds.costs]
+        elif isinstance(policy, TopK):
+            decisions = [top_k_solve(inst, c, policy.k, audit) for c in ds.costs]
+        else:
+            raise TypeError(f"unknown target policy: {policy!r}")
+        per_sample = [SampleTargets(costs=np.array([c] * len(decs)), decisions=np.array(decs),
+                                    ref_cost=c.copy())
+                      for c, decs in zip(ds.costs, decisions)]
     return TargetSet(policy=policy, per_sample=tuple(per_sample),
                      precompute_solves=audit.solve_count - start)

@@ -1,9 +1,10 @@
 """Batched solves and batched training equal their per-row forms, bit for bit.
 
-``solve_batch`` must return, row for row, what ``solve`` returns, and count
-one nominal solve per row.  Each instance has one DP that applies the tie
-rule itself; for TSP that is one Held-Karp, whose ``solve`` is its one-row
-call, so its tie rule is checked against enumeration of every tour, with
+``solve`` on a ``(B, n)`` batch must return, row for row, what it returns on
+each row as a cost vector, and count one nominal solve per row; so must the
+Empirical target precompute, which solves a whole dataset in one call.  Each
+instance has one DP that applies the tie rule itself; for TSP that is one
+Held-Karp, so its tie rule is checked against enumeration of every tour, with
 one and with several words per support key, and against a plain-Python
 Held-Karp on decimal costs, whose float ties depend on the summation order.
 The batched training path rests on four numpy identities, pinned here so
@@ -15,12 +16,12 @@ import pytest
 
 import bruteforce as bf
 import dflkit.oracles as oracles
-from dflkit.core import DimensionError, RngStream
+from dflkit.core import Dataset, DatasetMeta, DimensionError, RngStream
 from dflkit.datagen import GenParams, generate_splits
 from dflkit.learning import pfyl_batch_gradient, spo_plus_batch_gradient
 from dflkit.oracles import (BIG_CUTOFF, DenseTSP, GridShortestPath, OracleAudit,
-                            SelectOne, solve, solve_batch, top_k_solve)
-from dflkit.targets import KNN, build_targets
+                            SelectOne, solve, top_k_solve)
+from dflkit.targets import KNN, Empirical, build_targets
 
 from row_gradients import pfyl_gradient, spo_plus_gradient
 from test_oracles import bits, dyadic_near_ties
@@ -41,6 +42,10 @@ def cost_rows(inst, kind, seed=0):
         return np.array(generate_splits(inst, params)[0].costs)
     if kind == "integer":
         return rng.integers(0, 3, size=(ROWS, inst.n)).astype(float)
+    if kind == "constant":
+        return np.repeat(np.resize([0.0, 1.0, 2.0, -0.75], (ROWS, 1)), inst.n, axis=1)
+    if kind == "decimal":
+        return rng.choice([0.1, 0.2, 0.3, 0.7], size=(ROWS, inst.n))
     return np.array([dyadic_near_ties(rng, inst.n) for _ in range(ROWS)])
 
 
@@ -48,15 +53,27 @@ def per_row(inst, C):
     return np.array([solve(inst, c) for c in C]).reshape(C.shape)
 
 
+def as_dataset(inst, C):
+    meta = DatasetMeta(problem=inst.kind, instance=inst.descriptor(), m=1, n=inst.n,
+                       t=len(C), seed=0, noise_halfwidth=0.0, degree=1)
+    return Dataset(features=np.zeros((len(C), 1)), costs=C, clean_costs=None, meta=meta)
+
+
 class TestBatchedEqualsPerRow:
-    @pytest.mark.parametrize("kind", ["normal", "datagen", "integer", "dyadic"])
+    @pytest.mark.parametrize("kind", ["normal", "datagen", "integer", "dyadic",
+                                      "constant", "decimal"])
     @pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
     def test_law(self, inst, kind):
         C = cost_rows(inst, kind)
+        want = per_row(inst, C).tobytes()
         audit = OracleAudit()
-        X = solve_batch(inst, C, audit)
-        assert X.tobytes() == per_row(inst, C).tobytes()
+        X = solve(inst, C, audit)
+        assert X.tobytes() == want
         assert audit.solve_count == ROWS
+        # the Empirical precompute solves the dataset in one batch
+        ts = build_targets(Empirical(), as_dataset(inst, C), inst)
+        assert np.concatenate([st.decisions for st in ts.per_sample]).tobytes() == want
+        assert ts.precompute_solves == ROWS
 
     @pytest.mark.parametrize("kind", ["normal", "datagen"])
     @pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
@@ -65,7 +82,7 @@ class TestBatchedEqualsPerRow:
         # ranks first; about half of all TSP rows close a tour and its own
         # reverse at equal cost, which is no tie
         C = cost_rows(inst, kind)
-        for c, x in zip(C, solve_batch(inst, C)):
+        for c, x in zip(C, solve(inst, C)):
             best = top_k_solve(inst, c, 2)
             assert x.tobytes() == best[0].tobytes()
             if len(best) == 2:
@@ -76,7 +93,7 @@ class TestBatchedEqualsPerRow:
     def test_integer_ties_equal_per_row(self, inst):
         # every integer TSP row has states with two cheapest ways in
         C = cost_rows(inst, "integer")
-        assert solve_batch(inst, C).tobytes() == per_row(inst, C).tobytes()
+        assert solve(inst, C).tobytes() == per_row(inst, C).tobytes()
 
     @pytest.mark.parametrize("inst", [GridShortestPath(2, 2), GridShortestPath(5, 5),
                                       DenseTSP(4), DenseTSP(6)],
@@ -84,13 +101,13 @@ class TestBatchedEqualsPerRow:
     def test_constant_rows_equal_per_row(self, inst):
         # every decision of a constant row ties
         C = np.repeat([[0.0], [1.0], [2.0]], inst.n, axis=1)
-        X = solve_batch(inst, C)
+        X = solve(inst, C)
         assert X.tobytes() == per_row(inst, C).tobytes()
 
     def test_select_integer_ties_equal_per_row(self):
         inst = SelectOne(5)
         C = cost_rows(inst, "integer")
-        assert solve_batch(inst, C).tobytes() == per_row(inst, C).tobytes()
+        assert solve(inst, C).tobytes() == per_row(inst, C).tobytes()
 
     def test_tied_and_untied_rows_equal_per_row(self):
         # rows 1 and 3 tie (all tours cost the same; two tours close at the
@@ -99,7 +116,7 @@ class TestBatchedEqualsPerRow:
         C = np.array([[0.3, 1.7, 0.9, 2.6, 1.1, 0.4], np.ones(inst.n),
                       [3.0, 1.0, 2.0, 0.0, 5.0, 1.5], [0.2, 0.7, 0.2, 0.2, 0.2, 0.7]])
         audit = OracleAudit()
-        assert solve_batch(inst, C, audit).tobytes() == per_row(inst, C).tobytes()
+        assert solve(inst, C, audit).tobytes() == per_row(inst, C).tobytes()
         assert audit.solve_count == 4
 
     @pytest.mark.parametrize("kind", ["normal", "integer"])
@@ -109,16 +126,16 @@ class TestBatchedEqualsPerRow:
         # span 3 and 5 blocks
         C = cost_rows(inst, kind)
         audit = OracleAudit()
-        X = solve_batch(inst, C, audit)
+        X = solve(inst, C, audit)
         assert X.tobytes() == per_row(inst, C).tobytes()
         assert audit.solve_count == ROWS
 
     def test_blocks_match_one_block(self, monkeypatch):
         inst = DenseTSP(6)
         C = cost_rows(inst, "normal")
-        whole = solve_batch(inst, C)
+        whole = solve(inst, C)
         monkeypatch.setattr(oracles, "BATCH_TABLE_ENTRIES", inst.row_table_entries * 7)
-        assert solve_batch(inst, C).tobytes() == whole.tobytes()
+        assert solve(inst, C).tobytes() == whole.tobytes()
 
 
 class TestTSPTieRule:
@@ -137,7 +154,7 @@ class TestTSPTieRule:
     @staticmethod
     def check_bruteforce(inst, C):
         tours = bf.tsp_tours(inst.n_nodes)
-        for c, x in zip(C, solve_batch(inst, C)):
+        for c, x in zip(C, solve(inst, C)):
             want = bf.best_decision(tours, bf.exact_costs(c))
             assert bits(x) == want
             assert bits(solve(inst, c)) == want
@@ -154,7 +171,7 @@ class TestTSPTieRule:
         # the reference must add the same terms in the same order
         inst = DenseTSP(nodes)
         C = np.random.default_rng(nodes).choice([0.1, 0.2, 0.3, 0.7], size=(200, inst.n))
-        for c, x in zip(C, solve_batch(inst, C)):
+        for c, x in zip(C, solve(inst, C)):
             assert bits(x) == bf.held_karp(nodes, c)
 
     @pytest.mark.parametrize("row", [
@@ -168,7 +185,7 @@ class TestTSPTieRule:
         # two tours close at the same float64 cost through different last
         # nodes; the lex-smaller support wins, whichever last node it has
         nodes = {6: 4, 10: 5, 15: 6}[len(row)]
-        assert bits(solve_batch(DenseTSP(nodes), np.array([row]))[0]) == bf.held_karp(nodes, row)
+        assert bits(solve(DenseTSP(nodes), np.array([row]))[0]) == bf.held_karp(nodes, row)
 
     @pytest.mark.parametrize("nodes", [4, 5, 6, 7])
     def test_several_key_words(self, nodes, monkeypatch):
@@ -196,28 +213,28 @@ class TestTSPTieRule:
             for a, b in zip(labels.tolist(), np.roll(labels, -1).tolist()):
                 tour[pairs[min(a, b), max(a, b)]] = 1.0
             want.append(tour)
-        assert solve_batch(inst, np.array(C)).tobytes() == np.array(want).tobytes()
+        assert solve(inst, np.array(C)).tobytes() == np.array(want).tobytes()
 
 
 class TestBatchEdges:
     @pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
     def test_one_row(self, inst):
         c = np.random.default_rng(3).normal(size=inst.n)
-        X = solve_batch(inst, c[None])
+        X = solve(inst, c[None])
         assert X.shape == (1, inst.n)
         assert X[0].tobytes() == solve(inst, c).tobytes()
 
     @pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
     def test_zero_rows(self, inst):
         audit = OracleAudit()
-        X = solve_batch(inst, np.zeros((0, inst.n)), audit)
+        X = solve(inst, np.zeros((0, inst.n)), audit)
         assert X.shape == (0, inst.n)
         assert audit.solve_count == 0
 
     @pytest.mark.parametrize("shape", [(5,), (2, 6), (2, 4, 1), ()])
     def test_wrong_shape_rejected(self, shape):
         with pytest.raises(DimensionError):
-            solve_batch(GridShortestPath(2, 3), np.zeros(shape))
+            solve(GridShortestPath(2, 3), np.zeros(shape))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected_like_solve(self, bad):
@@ -226,7 +243,7 @@ class TestBatchEdges:
         C[2, 5] = bad
         # the same check, each message naming what it was given
         with pytest.raises(ValueError, match="^cost batch contains non-finite entries$"):
-            solve_batch(inst, C)
+            solve(inst, C)
         with pytest.raises(ValueError, match="^cost vector contains non-finite entries$"):
             solve(inst, C[2])
 
@@ -235,7 +252,7 @@ class TestBatchEdges:
         C = np.ones((3, inst.n))
         C[1, 0] = BIG_CUTOFF / inst.n
         with pytest.raises(ValueError, match=r"summed \|cost\| must stay below") as batch_err:
-            solve_batch(inst, C)
+            solve(inst, C)
         with pytest.raises(ValueError) as row_err:
             solve(inst, C[1])
         assert str(batch_err.value) == str(row_err.value)
@@ -243,7 +260,7 @@ class TestBatchEdges:
     def test_tsp_node_cap_applies(self):
         inst = DenseTSP(DenseTSP.SOLVE_MAX_NODES + 1)
         with pytest.raises(ValueError, match="capped"):
-            solve_batch(inst, np.ones((1, inst.n)))
+            solve(inst, np.ones((1, inst.n)))
 
 
 class TestNumpyIdentities:

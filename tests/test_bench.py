@@ -6,7 +6,7 @@ import pytest
 from dflkit.bench import (BiasDemoConfig, SweepConfig, bias_demo, eval_expected_regret,
                           eval_regret, paired_t_test, regularized_incomplete_beta,
                           run_sweep, sweep_cells, write_sweep_csv)
-from dflkit.core import Dataset, DatasetMeta, RngStream, STREAM_TRAIN_SAMPLES
+from dflkit.core import Dataset, DatasetMeta, DimensionError, RngStream, STREAM_TRAIN_SAMPLES
 from dflkit.datagen import GenParams, generate_samples, make_gen_model
 from dflkit.oracles import GridShortestPath, SelectOne, UncertaintyParams
 from dflkit.targets import RobustOpt, policy_label
@@ -47,6 +47,13 @@ class TestEvalRegret:
         rep = eval_regret(np.array([[5.0, 1.0, 1.0, 1.0]]), ds, inst)
         assert np.array_equal(rep.per_sample, [4.0])
         assert rep.normalized_regret_pct == pytest.approx(200.0)
+
+    def test_prediction_shape_must_match_costs(self):
+        inst = SelectOne(3)
+        ds = make_ds(np.zeros((2, 1)), np.ones((2, 3)))
+        for pred in (np.ones((3, 3)), np.ones(3)):
+            with pytest.raises(DimensionError, match=r"^predictions have shape "):
+                eval_regret(pred, ds, inst)
 
     def test_zero_predictor_metric_consistency(self):
         # the all-zero prediction resolves to the tie-broken decision; its
@@ -345,6 +352,16 @@ class TestSweepPreflight:
          r"problems\[0\]\.t_values: 8.5 is not an integer"),
         ({"problems": [{"kind": "grid", "v": 2, "h": 2, "t_values": [8, False]}]},
          r"problems\[0\]\.t_values: False is not an integer"),
+        ({"pfyl_sigma": float("inf")}, "pfyl_sigma must be finite and non-negative, got inf"),
+        ({"seeds": [0, -1]}, "seed must be non-negative, got -1$"),
+        ({"problems": [{"kind": "tsp", "nodes": 17}]},
+         r"problems\[0\]: exact TSP solve capped at 16 nodes, instance has 17$"),
+        ({"problems": [{"kind": "tsp", "nodes": 11}],
+          "policies": [{"kind": "empirical"}, {"kind": "topk", "k": 2}]},
+         r"policies\[1\]: k-best TSP enumeration capped at 10 nodes, instance has 11$"),
+        ({"problems": [{"kind": "grid", "v": 2, "h": 2, "t_values": [8, 1]}],
+          "epochs_by_t": {"8": 1, "1": 1}, "policies": [{"kind": "knn", "k": 3, "w": 0.5}]},
+         r"policies\[0\]: knn needs every t >= 2$"),
     ], ids=["epochs", "batch_size", "pfyl_samples", "test_size", "features", "degree",
             "noise", "grid_v", "problem_kind", "topk_k", "knn_w", "ro_rho", "k_not_int",
             "no_problems", "no_noise_values", "no_methods", "no_seeds", "no_problem_t_values",
@@ -356,7 +373,8 @@ class TestSweepPreflight:
             "grid_v_fraction", "tsp_nodes_fraction", "topk_k_fraction", "knn_k_bool",
             "lr_bool", "pfyl_sigma_bool", "alpha_bool", "noise_bool", "ro_bools",
             "ro_rho_bool", "ro_gamma_frac_bool", "knn_w_bool", "problem_t_value_fraction",
-            "problem_t_value_bool"])
+            "problem_t_value_bool", "pfyl_sigma_inf", "seed_negative", "tsp_over_solve_cap",
+            "topk_over_enumeration_cap", "knn_one_sample"])
     def test_unrunnable_value(self, monkeypatch, changes, message):
         with pytest.raises(ValueError, match="^sweep config: " + message):
             self.run_unrunnable(monkeypatch, **changes)

@@ -97,7 +97,8 @@ class TestTrainEval:
 
 
 class TestTrainEvalErrors:
-    @pytest.mark.parametrize("flags", [["--pfyl-sigma", "-1"], ["--pfyl-m", "0"]])
+    @pytest.mark.parametrize("flags", [["--pfyl-sigma", "-1"], ["--pfyl-m", "0"],
+                                       ["--pfyl-sigma", "inf"]])
     def test_bad_pfyl_settings_exit_1(self, small_data, tmp_path, capsys, flags):
         model = tmp_path / "model.json"
         rc = main(["train", "--data", str(small_data), "--method", "pfyl",
@@ -105,6 +106,14 @@ class TestTrainEvalErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: pfyl_") and err.count("\n") == 1
+        assert not model.exists()
+
+    def test_negative_seed_exits_1(self, small_data, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        rc = main(["train", "--data", str(small_data), "--method", "spo+",
+                   "--epochs", "2", "--seed", "-1", "--out", str(model)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
         assert not model.exists()
 
     def test_ro_flags_match_policy_parser(self, small_data, tmp_path):
@@ -258,6 +267,14 @@ class TestErrorHandling:
         assert err == ("error: val split instance 'grid:3x2' differs from "
                        "train split instance 'grid:2x3'\n")
 
+    @pytest.mark.parametrize("problem", ["grid", "tsp"])
+    def test_negative_seed(self, tmp_path, capsys, problem):
+        out = tmp_path / "ds"
+        rc = main(["datagen", "--problem", problem, "--seed", "-1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["5", "5x5x5", "ax5"])
     def test_bad_grid_size(self, tmp_path, capsys, grid):
         out = tmp_path / "ds"
@@ -300,3 +317,22 @@ class TestErrorHandling:
     def test_bad_flags(self):
         with pytest.raises(SystemExit):
             main(["train", "--method", "nonsense"])
+
+
+class TestReadmeLayout:
+    """The README's "Library layout" table names only what its modules hold."""
+
+    def test_every_named_object_is_an_attribute(self):
+        import importlib
+        import re
+
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = text.split("\n## Library layout\n", 1)[1].strip().split("\n\n", 1)[0]
+        rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+        assert len(rows) == 7
+        for module_cell, contents in rows:
+            module = importlib.import_module(module_cell.strip().strip("`"))
+            names = [name for name in re.findall(r"`([^`]+)`", contents)
+                     if name.isidentifier()]
+            missing = [name for name in names if not hasattr(module, name)]
+            assert missing == [], f"{module.__name__} has no {missing}"

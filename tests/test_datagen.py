@@ -86,6 +86,10 @@ class TestGenerateSamples:
         ratios = ds.costs / ds.clean_costs
         assert np.allclose(ratios, ratios[:, :1])  # one factor per sample
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            GenParams(seed=-1)
+
     def test_distinct_split_streams(self):
         inst = SelectOne(3)
         gm = make_gen_model(inst, 2, seed=9)

@@ -7,8 +7,9 @@ from dflkit.bench import eval_regret
 from dflkit.core import Dataset, DatasetMeta, DimensionError, RngStream
 from dflkit.datagen import GenParams, generate_splits
 from dflkit.learning import (AdamState, LinearPredictor, TrainConfig,
-                             TrainingError, adam_step, load_model, loss_value,
-                             mse_gradient, save_model, spo_plus_surrogate, train)
+                             TrainingError, adam_step, decision_regret, load_model,
+                             loss_value, mse_gradient, save_model, spo_plus_surrogate,
+                             train)
 from dflkit.oracles import (GridShortestPath, SelectOne, UncertaintyParams,
                             solve)
 from dflkit.targets import (Empirical, KNN, RobustOpt, SampleTargets, TargetSet,
@@ -361,10 +362,15 @@ class TestTrain:
 class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [{"pfyl_samples": 0}, {"pfyl_samples": -2},
                                         {"pfyl_sigma": -1.0},
-                                        {"pfyl_sigma": float("nan")}])
+                                        {"pfyl_sigma": float("nan")},
+                                        {"pfyl_sigma": float("inf")}])
     def test_bad_pfyl_settings_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(method="pfyl", policy=Empirical(), epochs=1, **kwargs)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            TrainConfig(method="spo+", policy=Empirical(), epochs=1, seed=-1)
 
     def test_sigma_zero_allowed(self):
         TrainConfig(method="pfyl", policy=Empirical(), epochs=1, pfyl_sigma=0.0)
@@ -399,6 +405,15 @@ class TestTrainEvaluation:
                             (va, model.history[0].val_regret_pct)):
                 report = eval_regret(model.predictor.predict_batch(ds.features), ds, inst)
                 assert pct == report.normalized_regret_pct
+
+    @pytest.mark.parametrize("pred_shape, cost_shape", [
+        ((4,), (4,)), ((3, 4), (2, 4)), ((4,), (2, 4)), ((2, 4), (4,)),
+        ((1, 2, 4), (1, 2, 4))],
+        ids=["vectors", "row_counts", "vector_pred", "vector_costs", "three_d"])
+    def test_regret_kernel_refuses_other_shapes(self, pred_shape, cost_shape):
+        inst = GridShortestPath(2, 2)
+        with pytest.raises(DimensionError, match=r"^predictions have shape \("):
+            decision_regret(inst, np.ones(pred_shape), np.ones(cost_shape))
 
     def test_evaluation_solve_count(self):
         inst, tr, va = tiny_problem(t=10)

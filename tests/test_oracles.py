@@ -7,8 +7,8 @@ import bruteforce as bf
 from dflkit.core import DimensionError
 from dflkit.oracles import (BIG_CUTOFF, DenseTSP, GridShortestPath, OracleAudit,
                             SelectOne, UncertaintyParams, instance_from_descriptor,
-                            is_feasible, robust_solve, solve, solve_batch,
-                            top_k_solve, worst_case_cost)
+                            is_feasible, robust_solve, solve, top_k_solve,
+                            worst_case_cost)
 
 
 def bits(x):
@@ -241,22 +241,24 @@ class TestFeasibility:
 
     def test_tsp_subtours_rejected(self):
         inst = DenseTSP(4)
+        pair = bf.tsp_pair_indices(4)
         # a 3-cycle plus an isolated node
         x = np.zeros(6)
-        x[inst.pair_index(0, 1)] = 1
-        x[inst.pair_index(1, 2)] = 1
-        x[inst.pair_index(0, 2)] = 1
+        x[pair[0, 1]] = 1
+        x[pair[1, 2]] = 1
+        x[pair[0, 2]] = 1
         assert not is_feasible(inst, x)
         # the 0/1 shadow of two disjoint 2-cycles: edges (0,1) and (2,3) only
         y = np.zeros(6)
-        y[inst.pair_index(0, 1)] = 1
-        y[inst.pair_index(2, 3)] = 1
+        y[pair[0, 1]] = 1
+        y[pair[2, 3]] = 1
         assert not is_feasible(inst, y)
         # two disjoint 3-cycles on six nodes
         inst6 = DenseTSP(6)
+        pair6 = bf.tsp_pair_indices(6)
         z = np.zeros(inst6.n)
         for a, b in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]:
-            z[inst6.pair_index(a, b)] = 1
+            z[pair6[a, b]] = 1
         assert not is_feasible(inst6, z)
         assert is_feasible(inst, solve(inst, np.arange(6.0)))
 
@@ -264,8 +266,9 @@ class TestFeasibility:
         # four edges on four nodes, but node 0 has three and node 3 one
         inst = DenseTSP(4)
         x = np.zeros(6)
+        pair = bf.tsp_pair_indices(4)
         for a, b in [(0, 1), (0, 2), (0, 3), (1, 2)]:
-            x[inst.pair_index(a, b)] = 1
+            x[pair[a, b]] = 1
         assert not is_feasible(inst, x)
 
     @pytest.mark.parametrize("bad", [0.5, 2.0, np.nan])
@@ -413,6 +416,25 @@ class TestRobustSolve:
             assert worst_case_cost(inst, c, got, u) == best
 
 
+class TestBatchRefused:
+    """``solve`` takes a ``(B, n)`` batch; the oracles that take one cost
+    vector refuse one as a shape error, before any other check."""
+
+    @pytest.mark.parametrize("call", ["top_k_solve", "robust_solve", "worst_case_cost"])
+    @pytest.mark.parametrize("inst", [GridShortestPath(3, 3), DenseTSP(5), SelectOne(4)],
+                             ids=["grid3x3", "tsp5", "select4"])
+    def test_batch_is_a_dimension_error(self, inst, call):
+        C = np.ones((2, inst.n))
+        u = UncertaintyParams(rho=0.5, gamma=1.0)
+        x = solve(inst, C[0])
+        calls = {"top_k_solve": lambda: top_k_solve(inst, C, 2),
+                 "robust_solve": lambda: robust_solve(inst, C, u),
+                 "worst_case_cost": lambda: worst_case_cost(inst, C, x, u)}
+        message = f"cost vector has shape (2, {inst.n}), instance expects length {inst.n}"
+        with pytest.raises(DimensionError, match="^" + re.escape(message) + "$"):
+            calls[call]()
+
+
 class TestAudit:
     def test_solve_increments_once(self):
         audit = OracleAudit()
@@ -527,7 +549,7 @@ class TestGridTieRule5x5:
             C = np.array([dyadic_near_ties(rng, n) for _ in range(40)])
         else:
             C = np.repeat([[0.0], [1.0], [2.0], [-0.75]], n, axis=1)
-        X = solve_batch(self.INST, C)
+        X = solve(self.INST, C)
         for i, (c, x) in enumerate(zip(C, X)):
             exact = bf.exact_costs(c)
             assert bits(x) == bf.best_decision(self.PATHS, exact)
