@@ -17,17 +17,18 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (Dataset, DimensionError, RngStream, STREAM_BIAS_DEMO,
-                   STREAM_INSTANCE, exact_float, exact_int)
+                   STREAM_INSTANCE, exact_int, field_cast, from_fields)
 from .datagen import GenParams, generate_splits
 from .learning import METHODS, TrainConfig, decision_regret, normalized_regret_pct, train
 from .oracles import DenseTSP, GridShortestPath, OracleAudit
-from .targets import KNN, Empirical, TopK, build_targets, policy_from_dict, policy_label
+from .targets import (KNN, POLICY_DEFAULTS, Empirical, TopK, build_targets, policy_from_dict,
+                      policy_label)
 
 
 # ---------------------------------------------------------------------------
@@ -229,18 +230,6 @@ def _epochs_by_t(value) -> Dict[int, int]:
     return {exact_int(k): exact_int(v) for k, v in value.items()}
 
 
-# how SweepConfig.from_dict converts each required field
-_REQUIRED_CASTS = dict(
-    problems=tuple,
-    t_values=lambda v: tuple(map(exact_int, v)),
-    noise_values=lambda v: tuple(map(exact_float, v)),
-    methods=tuple,
-    policies=tuple,
-    seeds=lambda v: tuple(map(exact_int, v)),
-    epochs_by_t=_epochs_by_t,
-)
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     problems: Tuple[dict, ...]
@@ -263,29 +252,18 @@ class SweepConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "SweepConfig":
-        """Parse a sweep JSON object.  Optional keys absent from ``d`` keep
-        the dataclass defaults; present ones go through `exact_int` or
-        `exact_float`, by the default's type.  A missing required key, or a
-        value that does not convert or that the cast would change, raises a
-        ``ValueError`` starting ``sweep config:`` that names the field."""
-        casts = dict(_REQUIRED_CASTS)
-        for f in fields(SweepConfig):
-            if f.default is not MISSING and f.name in d:
-                casts[f.name] = exact_int if type(f.default) is int else exact_float
-        parsed = {}
-        for name, cast in casts.items():
-            if name not in d:
-                raise ValueError(f"sweep config: missing field {name!r}")
-            try:
-                parsed[name] = cast(d[name])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"sweep config: {name}: {exc}") from None
-        return SweepConfig(**parsed)
+        """Parse a sweep JSON object through `from_fields`; any refusal
+        raises a ``ValueError`` starting ``sweep config:``."""
+        try:
+            return from_fields(SweepConfig, d, {"epochs_by_t": _epochs_by_t})
+        except ValueError as exc:
+            raise ValueError(f"sweep config: {exc}") from None
 
 
 def default_sweep_config() -> dict:
     """Desk-scale defaults: 5x5 grid (t in {100, 1000}) and 8-node TSP
-    (t=100), 10 seeds, 200 epochs at t=100 and 100 at t=1000."""
+    (t=100), 10 seeds, 200 epochs at t=100 and 100 at t=1000, and each
+    policy kind at its `POLICY_DEFAULTS` entry."""
     return {
         "problems": [
             {"kind": "grid", "v": 5, "h": 5, "t_values": [100, 1000]},
@@ -294,28 +272,28 @@ def default_sweep_config() -> dict:
         "t_values": [100],
         "noise_values": [0.0, 0.5, 1.0],
         "methods": ["spo+", "pfyl", "mse"],
-        "policies": [
-            {"kind": "empirical"},
-            {"kind": "ro", "rho": 0.5, "gamma_frac": 0.125},
-            {"kind": "topk", "k": 10},
-            {"kind": "knn", "k": 10, "w": 0.5},
-        ],
+        "policies": [{"kind": kind, **entry} for kind, entry in POLICY_DEFAULTS.items()],
         "seeds": list(range(10)),
         "epochs_by_t": {"100": 200, "1000": 100},
     }
 
 
 def build_instance(problem: dict, instance_seed: int = 0):
+    """The instance a problem entry describes, refusing a key its kind lacks."""
     kind = problem["kind"]
+    sizes = {"grid": ("v", "h"), "tsp": ("nodes",)}.get(kind)
+    if sizes is None:
+        raise ValueError(f"unknown problem kind {kind!r}")
+    unknown = [key for key in problem if key not in ("kind", "t_values", *sizes)]
+    if unknown:
+        raise ValueError(f"unknown field {unknown[0]!r}")
     if kind == "grid":
         return GridShortestPath(exact_int(problem["v"]), exact_int(problem["h"]))
-    if kind == "tsp":
-        nodes = exact_int(problem["nodes"])
-        stream = RngStream(instance_seed, STREAM_INSTANCE)
-        coords = [(round(stream.uniform(0.0, 1.0), 6), round(stream.uniform(0.0, 1.0), 6))
-                  for _ in range(nodes)]
-        return DenseTSP(nodes, coords=coords)
-    raise ValueError(f"unknown problem kind {kind!r}")
+    nodes = exact_int(problem["nodes"])
+    stream = RngStream(instance_seed, STREAM_INSTANCE)
+    coords = [(round(stream.uniform(0.0, 1.0), 6), round(stream.uniform(0.0, 1.0), 6))
+              for _ in range(nodes)]
+    return DenseTSP(nodes, coords=coords)
 
 
 SWEEP_COLUMNS = [
@@ -361,7 +339,7 @@ def sweep_cells(cfg: SweepConfig) -> List[Tuple[object, GenParams, TrainConfig]]
         where, t_values = "t_values", cfg.t_values
         if "t_values" in problem:
             where = f"problems[{i}].t_values"
-            t_values = _parse_entry(where, _REQUIRED_CASTS["t_values"], problem["t_values"])
+            t_values = _parse_entry(where, field_cast(Tuple[int, ...]), problem["t_values"])
         if not t_values:
             raise ValueError(f"sweep config: {where} is empty")
         policies = [_parse_entry(f"policies[{j}]", policy_from_dict, entry, inst.n)

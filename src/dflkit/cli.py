@@ -22,7 +22,7 @@ from .core import DimensionError
 from .datagen import GenParams, generate_splits, load_dataset, save_dataset
 from .learning import TrainConfig, load_model, save_model, train
 from .oracles import instance_from_descriptor
-from .targets import build_targets, policy_from_dict
+from .targets import POLICY_DEFAULTS, build_targets, policy_from_dict
 
 
 def _add_datagen(sub):
@@ -64,10 +64,10 @@ def _add_train(sub):
     p.add_argument("--data", required=True, help="dataset directory from datagen")
     p.add_argument("--method", choices=["spo+", "pfyl", "pfl"], required=True)
     p.add_argument("--loss", choices=["emp", "ro", "topk", "knn"], default="emp")
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--w", type=float, default=0.5)
-    p.add_argument("--rho", type=float, default=0.5)
-    p.add_argument("--gamma-frac", type=float, default=0.125,
+    p.add_argument("--k", type=int)  # policy flags default to POLICY_DEFAULTS
+    p.add_argument("--w", type=float)
+    p.add_argument("--rho", type=float)
+    p.add_argument("--gamma-frac", type=float,
                    help="total deviation budget as a fraction of n")
     p.add_argument("--pfyl-m", type=int, default=TrainConfig.pfyl_samples)
     p.add_argument("--pfyl-sigma", type=float, default=TrainConfig.pfyl_sigma)
@@ -88,9 +88,10 @@ def _cmd_train(args) -> int:
                          f"train split instance {train_ds.meta.instance!r}")
     inst = instance_from_descriptor(train_ds.meta.instance)
     method = "mse" if args.method == "pfl" else args.method
-    policy = policy_from_dict(
-        {"kind": "empirical" if args.loss == "emp" else args.loss, "k": args.k,
-         "w": args.w, "rho": args.rho, "gamma_frac": args.gamma_frac}, inst.n)
+    kind = "empirical" if args.loss == "emp" else args.loss
+    entry = {key: default if getattr(args, key) is None else getattr(args, key)
+             for key, default in POLICY_DEFAULTS[kind].items()}
+    policy = policy_from_dict({"kind": kind, **entry}, inst.n)
     cfg = TrainConfig(method=method, policy=policy, epochs=args.epochs,
                       batch_size=args.batch, lr=args.lr, seed=args.seed,
                       pfyl_samples=args.pfyl_m, pfyl_sigma=args.pfyl_sigma)

@@ -15,7 +15,7 @@ explicitly seeded :class:`RngStream` so experiments replay exactly.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields
-from typing import Optional, get_type_hints
+from typing import Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -48,6 +48,39 @@ def exact_float(value) -> float:
     if isinstance(value, bool):
         raise ValueError(f"{value!r} is not a number")
     return float(value)
+
+
+def field_cast(kind):
+    """The config cast for a field annotated ``kind``: `exact_int`,
+    `exact_float`, item by item for ``Tuple[X, ...]``, else the value as is."""
+    if get_origin(kind) is tuple:
+        item = field_cast(get_args(kind)[0])
+        return lambda value: tuple(map(item, value))
+    return {int: exact_int, float: exact_float}.get(kind, lambda value: value)
+
+
+def from_fields(cls, d, casts: Optional[dict] = None):
+    """The dataclass ``cls`` built from the JSON object ``d``: each value is
+    cast by ``casts[name]`` if given, else by `field_cast` of its annotation,
+    and absent keys keep their defaults.  A missing field, an unknown key or
+    a value that does not convert raises a ``ValueError`` naming the field."""
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a JSON object, got {type(d).__name__}")
+    kinds = get_type_hints(cls)
+    for key in d:
+        if key not in kinds:
+            raise ValueError(f"unknown field {key!r}")
+    values = {}
+    for f in fields(cls):
+        if f.name in d:
+            cast = (casts or {}).get(f.name) or field_cast(kinds[f.name])
+            try:
+                values[f.name] = cast(d[f.name])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{f.name}: {exc}") from None
+        elif f.default is MISSING:
+            raise ValueError(f"missing field {f.name!r}")
+    return cls(**values)
 
 
 class RngStream:
@@ -132,23 +165,15 @@ class DatasetMeta:
 
     @staticmethod
     def from_dict(d: dict) -> "DatasetMeta":
-        """Inverse of ``dataclasses.asdict``, casting each value to its
-        field's type.  Raises ``KeyError`` for a missing field without a
-        default and ``ValueError`` naming a field that does not convert, or
-        whose value the cast would change (``2.7`` or ``true`` for an int,
-        ``"false"`` for a bool)."""
-        kinds = get_type_hints(DatasetMeta)
-        values = {}
-        for f in fields(DatasetMeta):
-            raw = d[f.name] if f.default is MISSING else d.get(f.name, f.default)
-            try:
-                values[f.name] = kinds[f.name](raw)
-                if values[f.name] != raw or isinstance(raw, bool) != (kinds[f.name] is bool):
-                    raise ValueError
-            except (TypeError, ValueError):
-                raise ValueError(f"field {f.name!r} is {raw!r}, "
-                                 f"not {kinds[f.name].__name__}") from None
-        return DatasetMeta(**values)
+        """Inverse of ``dataclasses.asdict`` through `from_fields`, with a strict
+        cast: a value must already have its field's type.  ``7.0`` loads as an
+        int; ``2.7``, ``"7"`` and ``true`` do not, nor ``0`` as a bool."""
+        def strict(raw, kind):
+            if kind(raw) != raw or isinstance(raw, bool) != (kind is bool):
+                raise ValueError(f"{raw!r} is not of type {kind.__name__}")
+            return kind(raw)
+        return from_fields(DatasetMeta, d, {name: lambda raw, kind=kind: strict(raw, kind)
+                                            for name, kind in get_type_hints(DatasetMeta).items()})
 
 
 def _frozen_matrix(values, rows: int, cols: int, name: str) -> np.ndarray:

@@ -221,12 +221,8 @@ def load_dataset(directory) -> Dataset:
         raise FileNotFoundError(f"no meta.json under {directory}")
     with open(meta_path) as fh:
         fields = json.load(fh)
-    if not isinstance(fields, dict):
-        raise ValueError(f"{meta_path}: expected a JSON object, got {type(fields).__name__}")
     try:
         meta = DatasetMeta.from_dict(fields)
-    except KeyError as exc:
-        raise ValueError(f"{meta_path}: missing field {exc.args[0]!r}") from None
     except ValueError as exc:
         raise ValueError(f"{meta_path}: {exc}") from None
     features = _read_matrix(directory / "features.csv", "z", meta.t, meta.m)

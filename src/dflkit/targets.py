@@ -14,27 +14,29 @@ estimator.  Distances are plain Euclidean in raw feature space, brute force.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .core import Dataset, DimensionError, exact_float, exact_int
+from .core import Dataset, DimensionError, exact_float, from_fields
 from .oracles import OracleAudit, UncertaintyParams, robust_solve, solve, top_k_solve
 
 
 @dataclass(frozen=True)
 class Empirical:
-    pass
+    kind, prefix = "empirical", "emp"
 
 
 @dataclass(frozen=True)
 class RobustOpt:
+    kind = prefix = "ro"
     u: UncertaintyParams
 
 
 @dataclass(frozen=True)
 class TopK:
+    kind = prefix = "topk"
     k: int
 
     def __post_init__(self):
@@ -44,6 +46,7 @@ class TopK:
 
 @dataclass(frozen=True)
 class KNN:
+    kind = prefix = "knn"
     k: int
     w: float
 
@@ -56,46 +59,41 @@ class KNN:
 
 TargetPolicy = Union[Empirical, RobustOpt, TopK, KNN]
 
+POLICY_KINDS = {cls.kind: cls for cls in (Empirical, RobustOpt, TopK, KNN)}
 
-def policy_label(policy: TargetPolicy) -> str:
-    if isinstance(policy, Empirical):
-        return "emp"
-    if isinstance(policy, RobustOpt):
-        return f"ro(rho={policy.u.rho:g};gamma={policy.u.gamma:g})"
-    if isinstance(policy, TopK):
-        return f"topk(k={policy.k})"
-    return f"knn(k={policy.k};w={policy.w:g})"
+# each kind's default entry, read by the train CLI's flags and the default sweep
+POLICY_DEFAULTS = {"empirical": {}, "ro": {"rho": 0.5, "gamma_frac": 0.125},
+                   "topk": {"k": 10}, "knn": {"k": 10, "w": 0.5}}
 
 
 def policy_to_dict(policy: TargetPolicy) -> dict:
-    if isinstance(policy, Empirical):
-        return {"kind": "empirical"}
-    if isinstance(policy, RobustOpt):
-        return {"kind": "ro", "rho": policy.u.rho, "gamma": policy.u.gamma}
-    if isinstance(policy, TopK):
-        return {"kind": "topk", "k": policy.k}
-    return {"kind": "knn", "k": policy.k, "w": policy.w}
+    return {"kind": policy.kind, **asdict(policy.u if isinstance(policy, RobustOpt) else policy)}
+
+
+def policy_label(policy: TargetPolicy) -> str:
+    """``emp``, or the prefix and `policy_to_dict`'s values: ints whole, floats ``:g``."""
+    args = ";".join(f"{key}={value:g}" if isinstance(value, float) else f"{key}={value}"
+                    for key, value in policy_to_dict(policy).items() if key != "kind")
+    return f"{policy.prefix}({args})" if args else policy.prefix
 
 
 def policy_from_dict(d: dict, n: Optional[int] = None) -> TargetPolicy:
-    """The one policy parser.  A ``ro`` entry gives its budget either as
-    ``gamma`` or as ``gamma_frac`` of the cost dimension ``n``."""
-    kind = d["kind"]
-    if kind == "empirical":
-        return Empirical()
-    if kind == "ro":
-        if "gamma_frac" in d:
-            if n is None:
-                raise ValueError("gamma_frac needs the cost dimension n")
-            gamma = exact_float(d["gamma_frac"]) * n
-        else:
-            gamma = exact_float(d["gamma"])
-        return RobustOpt(UncertaintyParams(rho=exact_float(d["rho"]), gamma=gamma))
-    if kind == "topk":
-        return TopK(k=exact_int(d["k"]))
-    if kind == "knn":
-        return KNN(k=exact_int(d["k"]), w=exact_float(d["w"]))
-    raise ValueError(f"unknown policy kind: {kind!r}")
+    """The one policy parser: ``d["kind"]`` names a class of `POLICY_KINDS`,
+    whose fields `from_fields` parses from the other keys.  A ``ro`` entry
+    gives its budget as ``gamma`` or as ``gamma_frac`` of the cost dimension ``n``."""
+    entry = {**d}
+    kind = entry.pop("kind")
+    if kind not in POLICY_KINDS:
+        raise ValueError(f"unknown policy kind: {kind!r}")
+    if kind != "ro":
+        return from_fields(POLICY_KINDS[kind], entry)
+    if "gamma_frac" in entry:
+        if "gamma" in entry:
+            raise ValueError("ro takes gamma or gamma_frac, not both")
+        if n is None:
+            raise ValueError("gamma_frac needs the cost dimension n")
+        entry["gamma"] = exact_float(entry.pop("gamma_frac")) * n
+    return RobustOpt(from_fields(UncertaintyParams, entry))
 
 
 def knn_neighbors(ds: Dataset, i: int, k: int) -> List[int]:

@@ -268,7 +268,7 @@ class TestSweepPreflight:
             self.run_unrunnable(monkeypatch, methods=["mse", "spo"])
 
     def test_policy_without_field(self, monkeypatch):
-        with pytest.raises(ValueError, match=r"policies\[1\] has no field 'k'"):
+        with pytest.raises(ValueError, match=r"policies\[1\]: missing field 'k'"):
             self.run_unrunnable(monkeypatch, policies=[{"kind": "empirical"},
                                                        {"kind": "topk"}])
 
@@ -294,7 +294,7 @@ class TestSweepPreflight:
         ({"policies": [{"kind": "ro", "rho": -1, "gamma": 1}]},
          r"policies\[0\]: uncertainty parameters must be non-negative"),
         ({"policies": [{"kind": "topk", "k": "x"}]},
-         r"policies\[0\]: invalid literal for int\(\)"),
+         r"policies\[0\]: k: invalid literal for int\(\) with base 10: 'x'"),
         ({"problems": []}, "problems is empty"),
         ({"noise_values": []}, "noise_values is empty"),
         ({"methods": []}, "methods is empty"),
@@ -333,21 +333,21 @@ class TestSweepPreflight:
          r"problems\[0\]: 5.6 is not an integer"),
         ({"problems": [{"kind": "tsp", "nodes": 6.5}]},
          r"problems\[0\]: 6.5 is not an integer"),
-        ({"policies": [{"kind": "topk", "k": 2.5}]}, r"policies\[0\]: 2.5 is not an integer"),
+        ({"policies": [{"kind": "topk", "k": 2.5}]}, r"policies\[0\]: k: 2.5 is not an integer"),
         ({"policies": [{"kind": "knn", "k": True, "w": 0.5}]},
-         r"policies\[0\]: True is not an integer"),
+         r"policies\[0\]: k: True is not an integer"),
         ({"lr": True}, "lr: True is not a number"),
         ({"pfyl_sigma": True}, "pfyl_sigma: True is not a number"),
         ({"alpha": True}, "alpha: True is not a number"),
         ({"noise_values": [0.5, True]}, "noise_values: True is not a number"),
         ({"policies": [{"kind": "ro", "rho": True, "gamma": True}]},
-         r"policies\[0\]: True is not a number"),
+         r"policies\[0\]: rho: True is not a number"),
         ({"policies": [{"kind": "ro", "rho": True, "gamma": 1.0}]},
-         r"policies\[0\]: True is not a number"),
+         r"policies\[0\]: rho: True is not a number"),
         ({"policies": [{"kind": "ro", "rho": 0.5, "gamma_frac": True}]},
          r"policies\[0\]: True is not a number"),
         ({"policies": [{"kind": "knn", "k": 2, "w": True}]},
-         r"policies\[0\]: True is not a number"),
+         r"policies\[0\]: w: True is not a number"),
         ({"problems": [{"kind": "grid", "v": 2, "h": 2, "t_values": [8.5]}]},
          r"problems\[0\]\.t_values: 8.5 is not an integer"),
         ({"problems": [{"kind": "grid", "v": 2, "h": 2, "t_values": [8, False]}]},
@@ -362,6 +362,13 @@ class TestSweepPreflight:
         ({"problems": [{"kind": "grid", "v": 2, "h": 2, "t_values": [8, 1]}],
           "epochs_by_t": {"8": 1, "1": 1}, "policies": [{"kind": "knn", "k": 3, "w": 0.5}]},
          r"policies\[0\]: knn needs every t >= 2$"),
+        ({"batchsize": 3}, "unknown field 'batchsize'$"),
+        ({"problems": [{"kind": "tsp", "node": 7}]}, r"problems\[0\]: unknown field 'node'$"),
+        ({"problems": [{"kind": "grid", "v": 2, "h": 2, "nodes": 4}]},
+         r"problems\[0\]: unknown field 'nodes'$"),
+        ({"policies": [{"kind": "topk", "K": 3}]}, r"policies\[0\]: unknown field 'K'$"),
+        ({"policies": [{"kind": "ro", "rho": 0.5, "gamma": 1, "gamma_frac": 0.1}]},
+         r"policies\[0\]: ro takes gamma or gamma_frac, not both$"),
     ], ids=["epochs", "batch_size", "pfyl_samples", "test_size", "features", "degree",
             "noise", "grid_v", "problem_kind", "topk_k", "knn_w", "ro_rho", "k_not_int",
             "no_problems", "no_noise_values", "no_methods", "no_seeds", "no_problem_t_values",
@@ -374,7 +381,8 @@ class TestSweepPreflight:
             "lr_bool", "pfyl_sigma_bool", "alpha_bool", "noise_bool", "ro_bools",
             "ro_rho_bool", "ro_gamma_frac_bool", "knn_w_bool", "problem_t_value_fraction",
             "problem_t_value_bool", "pfyl_sigma_inf", "seed_negative", "tsp_over_solve_cap",
-            "topk_over_enumeration_cap", "knn_one_sample"])
+            "topk_over_enumeration_cap", "knn_one_sample", "unknown_key", "tsp_unknown_key",
+            "grid_unknown_key", "policy_unknown_key", "ro_gamma_and_gamma_frac"])
     def test_unrunnable_value(self, monkeypatch, changes, message):
         with pytest.raises(ValueError, match="^sweep config: " + message):
             self.run_unrunnable(monkeypatch, **changes)

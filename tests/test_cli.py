@@ -11,7 +11,8 @@ import pytest
 import dflkit
 from dflkit.cli import main
 from dflkit.datagen import load_dataset
-from dflkit.targets import policy_from_dict
+from dflkit.bench import default_sweep_config
+from dflkit.targets import policy_from_dict, policy_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +125,16 @@ class TestTrainEvalErrors:
         policy = json.loads(model.read_text())["config"]["policy"]
         entry = {"kind": "ro", "rho": 0.5, "gamma_frac": 0.125}
         assert policy_from_dict(policy) == policy_from_dict(entry, n=7)
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_policy_flag_defaults_match_default_sweep(self, small_data, tmp_path, index):
+        entry = default_sweep_config()["policies"][index]
+        model = tmp_path / "model.json"
+        loss = "emp" if entry["kind"] == "empirical" else entry["kind"]
+        assert main(["train", "--data", str(small_data), "--method", "spo+", "--loss", loss,
+                     "--epochs", "1", "--out", str(model)]) == 0
+        policy = json.loads(model.read_text())["config"]["policy"]
+        assert policy == policy_to_dict(policy_from_dict(entry, n=7))
 
     def test_eval_rejects_feature_count_mismatch(self, small_data, tmp_path, capsys):
         model = tmp_path / "model.json"

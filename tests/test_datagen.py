@@ -181,17 +181,19 @@ class TestPersistence:
 
     @pytest.mark.parametrize("tamper, message", [
         (lambda d: _edit_json(d / "meta.json", lambda meta: {**meta, "m": "five"}),
-         r"meta\.json: field 'm' is 'five', not int"),
+         r"meta\.json: m: invalid literal for int\(\) with base 10: 'five'"),
         (lambda d: _edit_json(d / "meta.json", lambda meta: {**meta, "m": 2.7}),
-         r"meta\.json: field 'm' is 2\.7, not int"),
+         r"meta\.json: m: 2\.7 is not of type int"),
         (lambda d: _edit_json(d / "meta.json", lambda meta: {**meta, "m": True}),
-         r"meta\.json: field 'm' is True, not int"),
+         r"meta\.json: m: True is not of type int"),
         (lambda d: _edit_json(d / "meta.json", lambda meta: {**meta, "seed": "7"}),
-         r"meta\.json: field 'seed' is '7', not int"),
+         r"meta\.json: seed: '7' is not of type int"),
         (lambda d: _edit_json(d / "meta.json", lambda meta: {**meta, "noise_shared": "false"}),
-         r"meta\.json: field 'noise_shared' is 'false', not bool"),
+         r"meta\.json: noise_shared: 'false' is not of type bool"),
         (lambda d: _edit_json(d / "meta.json", lambda meta: {**meta, "noise_shared": 0}),
-         r"meta\.json: field 'noise_shared' is 0, not bool"),
+         r"meta\.json: noise_shared: 0 is not of type bool"),
+        (lambda d: _edit_json(d / "meta.json", lambda meta: {**meta, "noise_sharde": True}),
+         r"meta\.json: unknown field 'noise_sharde'$"),
         (lambda d: _edit_json(d / "meta.json", lambda meta: [1, 2]),
          r"meta\.json: expected a JSON object, got list"),
         (lambda d: _edit_line(d / "costs.csv", 3, lambda s: "abc" + s[s.index(","):]),
@@ -205,7 +207,7 @@ class TestPersistence:
         (lambda d: _edit_line(d / "costs.csv", 14, lambda s: s + "\n" + s),
          r"costs\.csv: shape \(14, 12\) disagrees with meta \(13, 12\)"),
     ], ids=["meta_field_type", "meta_int_from_float", "meta_int_from_bool", "meta_int_from_str",
-            "meta_bool_from_str", "meta_bool_from_int", "meta_not_object", "non_numeric_cell",
+            "meta_bool_from_str", "meta_bool_from_int", "meta_unknown_field", "meta_not_object", "non_numeric_cell",
             "ragged_row", "nan_cell", "infinite_cell", "extra_row"])
     def test_malformed_file_is_named(self, tmp_path, tamper, message):
         save_dataset(self._random_ds(), tmp_path / "d")

@@ -6,7 +6,7 @@ from dflkit.oracles import (GridShortestPath, OracleAudit, SelectOne,
                             UncertaintyParams, is_feasible, solve)
 from dflkit.targets import (Empirical, KNN, RobustOpt, SampleTargets, TopK,
                             build_targets, knn_neighbors, policy_from_dict,
-                            policy_to_dict)
+                            policy_label, policy_to_dict)
 
 
 def make_ds(features, costs, problem="select", instance=None):
@@ -164,6 +164,34 @@ class TestPolicyFromDict:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             policy_from_dict({"kind": "bogus"})
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"kind": "topk", "K": 3}, "unknown field 'K'"),
+        ({"kind": "knn", "k": 3, "w": 0.5, "rho": 0.5}, "unknown field 'rho'"),
+        ({"kind": "empirical", "k": 3}, "unknown field 'k'"),
+        ({"kind": "ro", "rho": 0.5, "gamma": 1.0, "gamma_frac": 0.1},
+         "ro takes gamma or gamma_frac, not both"),
+    ], ids=["topk_K", "knn_rho", "empirical_k", "ro_gamma_and_gamma_frac"])
+    def test_refused_entry(self, entry, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            policy_from_dict(entry, n=12)
+
+    @pytest.mark.parametrize("policy, label, as_dict", [
+        (Empirical(), "emp", [("kind", "empirical")]),
+        (RobustOpt(UncertaintyParams(rho=0.5, gamma=5.0)), "ro(rho=0.5;gamma=5)",
+         [("kind", "ro"), ("rho", 0.5), ("gamma", 5.0)]),
+        (RobustOpt(UncertaintyParams(rho=0.25, gamma=1.5)), "ro(rho=0.25;gamma=1.5)",
+         [("kind", "ro"), ("rho", 0.25), ("gamma", 1.5)]),
+        (TopK(k=1), "topk(k=1)", [("kind", "topk"), ("k", 1)]),
+        (TopK(k=1234567), "topk(k=1234567)", [("kind", "topk"), ("k", 1234567)]),
+        (KNN(k=10, w=0.5), "knn(k=10;w=0.5)", [("kind", "knn"), ("k", 10), ("w", 0.5)]),
+        (KNN(k=3, w=1e-07), "knn(k=3;w=1e-07)", [("kind", "knn"), ("k", 3), ("w", 1e-07)]),
+    ], ids=["emp", "ro_whole_gamma", "ro", "topk", "topk_large_k", "knn", "knn_tiny_w"])
+    def test_label_and_dict_are_pinned(self, policy, label, as_dict):
+        assert policy_label(policy) == label
+        assert list(policy_to_dict(policy).items()) == as_dict
+        assert [type(v) for _, v in policy_to_dict(policy).items()] == [type(v) for _, v in as_dict]
+        assert policy_from_dict(policy_to_dict(policy)) == policy
 
 
 class TestSampleTargets:
