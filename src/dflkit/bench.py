@@ -250,6 +250,12 @@ class SweepConfig:
     alpha: float = 0.05
     instance_seed: int = 0
 
+    def __post_init__(self):
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if self.instance_seed < 0:
+            raise ValueError(f"instance_seed must be non-negative, got {self.instance_seed}")
+
     @staticmethod
     def from_dict(d: dict) -> "SweepConfig":
         """Parse a sweep JSON object through `from_fields`; any refusal
@@ -315,24 +321,36 @@ def _parse_entry(where: str, build, entry, *args):
         raise ValueError(f"sweep config: {where}: {exc}") from None
 
 
+def _distinct(where: str, values) -> None:
+    """Refuse an empty list, and one that repeats a value: a repeat builds
+    duplicate cells, which the aggregates would count twice."""
+    if not values:
+        raise ValueError(f"sweep config: {where} is empty")
+    repeated = [value for i, value in enumerate(values) if value in values[:i]]
+    if repeated:
+        raise ValueError(f"sweep config: {where} lists {repeated[0]!r} twice")
+
+
 def sweep_cells(cfg: SweepConfig) -> List[Tuple[object, GenParams, TrainConfig]]:
     """Every detail cell as ``(instance, GenParams, TrainConfig)``, in run
     order: problem, t, noise, method, policy, seed.  Building a cell runs
     every check its objects make, and two that only a run would reach: the
     TSP solvers' node caps and knn's need of t >= 2.  So a config that cannot
     run raises a ``ValueError`` starting ``sweep config:`` before any cell
-    runs; so does an empty list that would leave the sweep without cells.
-    An mse-only sweep never parses its policies."""
+    runs; so does an empty list, or one that repeats an entry (problems by
+    descriptor, policies by label).  An mse-only sweep never parses its
+    policies."""
     for method in cfg.methods:
         if method not in METHODS:
             raise ValueError(f"sweep config: methods: unknown method {method!r}")
     uses_policies = any(method != "mse" for method in cfg.methods)
-    for name in ("problems", "noise_values", "methods", "seeds", "policies"):
-        if not getattr(cfg, name) and (name != "policies" or uses_policies):
-            raise ValueError(f"sweep config: {name} is empty")
+    instances = [_parse_entry(f"problems[{i}]", build_instance, problem, cfg.instance_seed)
+                 for i, problem in enumerate(cfg.problems)]
+    _distinct("problems", [inst.descriptor() for inst in instances])
+    for name in ("noise_values", "methods", "seeds"):
+        _distinct(name, getattr(cfg, name))
     cells = []
-    for i, problem in enumerate(cfg.problems):
-        inst = _parse_entry(f"problems[{i}]", build_instance, problem, cfg.instance_seed)
+    for i, (problem, inst) in enumerate(zip(cfg.problems, instances)):
         if isinstance(inst, DenseTSP):
             _parse_entry(f"problems[{i}]", DenseTSP.check_nodes, inst,
                          DenseTSP.SOLVE_MAX_NODES, "exact TSP solve")
@@ -340,10 +358,11 @@ def sweep_cells(cfg: SweepConfig) -> List[Tuple[object, GenParams, TrainConfig]]
         if "t_values" in problem:
             where = f"problems[{i}].t_values"
             t_values = _parse_entry(where, field_cast(Tuple[int, ...]), problem["t_values"])
-        if not t_values:
-            raise ValueError(f"sweep config: {where} is empty")
+        _distinct(where, t_values)
         policies = [_parse_entry(f"policies[{j}]", policy_from_dict, entry, inst.n)
                     for j, entry in enumerate(cfg.policies) if uses_policies]
+        if uses_policies:
+            _distinct("policies", [policy_label(policy) for policy in policies])
         for j, policy in enumerate(policies):
             if isinstance(policy, TopK) and isinstance(inst, DenseTSP):
                 _parse_entry(f"policies[{j}]", DenseTSP.check_nodes, inst,

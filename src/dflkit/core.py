@@ -116,6 +116,8 @@ class RngStream:
 
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         self.stream_id = int(stream_id)
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         self._gen = np.random.Generator(np.random.PCG64(seq))

@@ -369,6 +369,26 @@ class TestSweepPreflight:
         ({"policies": [{"kind": "topk", "K": 3}]}, r"policies\[0\]: unknown field 'K'$"),
         ({"policies": [{"kind": "ro", "rho": 0.5, "gamma": 1, "gamma_frac": 0.1}]},
          r"policies\[0\]: ro takes gamma or gamma_frac, not both$"),
+        ({"instance_seed": -1}, "instance_seed must be non-negative, got -1$"),
+        ({"instance_seed": -1, "problems": [{"kind": "tsp", "nodes": 5}]},
+         "instance_seed must be non-negative, got -1$"),
+        ({"alpha": 2.0}, r"alpha must lie in \(0, 1\), got 2.0$"),
+        ({"alpha": float("nan")}, r"alpha must lie in \(0, 1\), got nan$"),
+        ({"alpha": 0}, r"alpha must lie in \(0, 1\), got 0.0$"),
+        ({"seeds": [0, 0]}, "seeds lists 0 twice$"),
+        ({"methods": ["spo+", "mse", "spo+"]}, "methods lists 'spo\\+' twice$"),
+        ({"noise_values": [0.5, 0.0, 0.5]}, "noise_values lists 0.5 twice$"),
+        ({"t_values": [8, 8.0]}, "t_values lists 8 twice$"),
+        ({"problems": [{"kind": "grid", "v": 2, "h": 2, "t_values": [8, 8]}]},
+         r"problems\[0\]\.t_values lists 8 twice$"),
+        ({"problems": [{"kind": "grid", "v": 2, "h": 2},
+                       {"kind": "grid", "v": 2.0, "h": 2, "t_values": [8]}]},
+         "problems lists 'grid:2x2' twice$"),
+        ({"policies": [{"kind": "topk", "k": 2}, {"kind": "topk", "k": 2.0}]},
+         r"policies lists 'topk\(k=2\)' twice$"),
+        ({"policies": [{"kind": "ro", "rho": 0.5, "gamma": 1},
+                       {"kind": "ro", "rho": 0.5, "gamma_frac": 0.25}]},
+         r"policies lists 'ro\(rho=0.5;gamma=1\)' twice$"),
     ], ids=["epochs", "batch_size", "pfyl_samples", "test_size", "features", "degree",
             "noise", "grid_v", "problem_kind", "topk_k", "knn_w", "ro_rho", "k_not_int",
             "no_problems", "no_noise_values", "no_methods", "no_seeds", "no_problem_t_values",
@@ -382,7 +402,11 @@ class TestSweepPreflight:
             "ro_rho_bool", "ro_gamma_frac_bool", "knn_w_bool", "problem_t_value_fraction",
             "problem_t_value_bool", "pfyl_sigma_inf", "seed_negative", "tsp_over_solve_cap",
             "topk_over_enumeration_cap", "knn_one_sample", "unknown_key", "tsp_unknown_key",
-            "grid_unknown_key", "policy_unknown_key", "ro_gamma_and_gamma_frac"])
+            "grid_unknown_key", "policy_unknown_key", "ro_gamma_and_gamma_frac",
+            "grid_instance_seed_negative", "tsp_instance_seed_negative", "alpha_above_one",
+            "alpha_nan", "alpha_zero", "seeds_repeated", "methods_repeated",
+            "noise_values_repeated", "t_values_repeated", "problem_t_values_repeated",
+            "problems_repeated", "policies_repeated", "policies_same_budget"])
     def test_unrunnable_value(self, monkeypatch, changes, message):
         with pytest.raises(ValueError, match="^sweep config: " + message):
             self.run_unrunnable(monkeypatch, **changes)

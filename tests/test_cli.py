@@ -204,7 +204,8 @@ class TestBiasDemoCommand:
         ("--trials", "0", "need at least one trial"),
         ("--sigma-h", "nan", "standard deviations must be finite"),
         ("--sigma-l", "inf", "standard deviations must be finite"),
-    ], ids=["nh", "sigma_h", "trials", "sigma_h_nan", "sigma_l_inf"])
+        ("--seed", "-1", "seed must be non-negative, got -1"),
+    ], ids=["nh", "sigma_h", "trials", "sigma_h_nan", "sigma_l_inf", "seed_negative"])
     def test_bad_config_exits_1(self, capsys, flag, value, message):
         flags = {"--nh": "2", "--nl": "2", "--sigma-h": "1.0", "--sigma-l": "0.5",
                  "--trials": "10", flag: value}
@@ -347,3 +348,22 @@ class TestReadmeLayout:
                      if name.isidentifier()]
             missing = [name for name in names if not hasattr(module, name)]
             assert missing == [], f"{module.__name__} has no {missing}"
+
+
+class TestReadmeSweepConfig:
+    """The README's "Sweep config" section names every field of the one
+    declaration of each config object."""
+
+    def test_every_field_and_policy_kind_is_named(self):
+        import re
+        from dataclasses import fields
+
+        from dflkit.bench import SweepConfig
+        from dflkit.targets import POLICY_KINDS
+
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("\n## Sweep config\n", 1)[1].split("\n## ", 1)[0]
+        named = set(re.findall(r"`([^`]+)`", section))
+        missing = [name for name in [f.name for f in fields(SweepConfig)] + list(POLICY_KINDS)
+                   if name not in named]
+        assert missing == []

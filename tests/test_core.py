@@ -26,6 +26,10 @@ class TestRngStream:
         b = RngStream(123, 1).uniform(0, 1, size=16)
         assert not np.array_equal(a, b)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            RngStream(-1, 7)
+
     def test_degenerate_uniform(self):
         assert RngStream(0).uniform(0.0, 0.0) == 0.0
         assert RngStream(0).uniform(3.5, 3.5) == 3.5
