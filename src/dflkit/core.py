@@ -52,10 +52,16 @@ def exact_float(value) -> float:
 
 def field_cast(kind):
     """The config cast for a field annotated ``kind``: `exact_int`,
-    `exact_float`, item by item for ``Tuple[X, ...]``, else the value as is."""
+    `exact_float`, item by item for ``Tuple[X, ...]`` (refusing a string or
+    an object, whose characters or keys would pass as items), else the value
+    as is."""
     if get_origin(kind) is tuple:
         item = field_cast(get_args(kind)[0])
-        return lambda value: tuple(map(item, value))
+        def items(value):
+            if isinstance(value, (str, dict)):
+                raise TypeError(f"expected a list, got {type(value).__name__}")
+            return tuple(map(item, value))
+        return items
     return {int: exact_int, float: exact_float}.get(kind, lambda value: value)
 
 

@@ -389,6 +389,10 @@ class TestSweepPreflight:
         ({"policies": [{"kind": "ro", "rho": 0.5, "gamma": 1},
                        {"kind": "ro", "rho": 0.5, "gamma_frac": 0.25}]},
          r"policies lists 'ro\(rho=0.5;gamma=1\)' twice$"),
+        ({"seeds": "12"}, "seeds: expected a list, got str$"),
+        ({"seeds": {"3": 1}}, "seeds: expected a list, got dict$"),
+        ({"problems": [{"kind": "grid", "v": 2, "h": 2, "t_values": "8"}]},
+         r"problems\[0\]\.t_values: expected a list, got str$"),
     ], ids=["epochs", "batch_size", "pfyl_samples", "test_size", "features", "degree",
             "noise", "grid_v", "problem_kind", "topk_k", "knn_w", "ro_rho", "k_not_int",
             "no_problems", "no_noise_values", "no_methods", "no_seeds", "no_problem_t_values",
@@ -406,7 +410,8 @@ class TestSweepPreflight:
             "grid_instance_seed_negative", "tsp_instance_seed_negative", "alpha_above_one",
             "alpha_nan", "alpha_zero", "seeds_repeated", "methods_repeated",
             "noise_values_repeated", "t_values_repeated", "problem_t_values_repeated",
-            "problems_repeated", "policies_repeated", "policies_same_budget"])
+            "problems_repeated", "policies_repeated", "policies_same_budget", "seeds_string",
+            "seeds_object", "problem_t_values_string"])
     def test_unrunnable_value(self, monkeypatch, changes, message):
         with pytest.raises(ValueError, match="^sweep config: " + message):
             self.run_unrunnable(monkeypatch, **changes)
