@@ -14,6 +14,7 @@ explicitly seeded :class:`RngStream` so experiments replay exactly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import MISSING, dataclass, fields
 from typing import Optional, get_args, get_origin, get_type_hints
 
@@ -50,6 +51,11 @@ def exact_float(value) -> float:
     return float(value)
 
 
+# A class's resolved annotations, evaluated once: get_type_hints re-evaluates
+# every annotation string on each call.  Callers must not mutate the dict.
+_type_hints = functools.cache(get_type_hints)
+
+
 def field_cast(kind):
     """The config cast for a field annotated ``kind``: `exact_int`,
     `exact_float`, item by item for ``Tuple[X, ...]`` (refusing a string or
@@ -72,7 +78,7 @@ def from_fields(cls, d, casts: Optional[dict] = None):
     a value that does not convert raises a ``ValueError`` naming the field."""
     if not isinstance(d, dict):
         raise ValueError(f"expected a JSON object, got {type(d).__name__}")
-    kinds = get_type_hints(cls)
+    kinds = _type_hints(cls)
     for key in d:
         if key not in kinds:
             raise ValueError(f"unknown field {key!r}")
@@ -181,7 +187,7 @@ class DatasetMeta:
                 raise ValueError(f"{raw!r} is not of type {kind.__name__}")
             return kind(raw)
         return from_fields(DatasetMeta, d, {name: lambda raw, kind=kind: strict(raw, kind)
-                                            for name, kind in get_type_hints(DatasetMeta).items()})
+                                            for name, kind in _type_hints(DatasetMeta).items()})
 
 
 def _frozen_matrix(values, rows: int, cols: int, name: str) -> np.ndarray:
